@@ -102,9 +102,11 @@ race:
 	$(GO) test -race ./...
 
 # The sharded replay engine must produce byte-identical results at any
-# parallelism; run its invariance test single- and multi-threaded.
+# parallelism; run its invariance tests, plus the request-stream keying
+# and shard-total tests (shards write into shared task pages), single-
+# and multi-threaded under the race detector.
 determinism:
-	$(GO) test -race -run TestReplayDeterminism -cpu 1,4 ./internal/replay
+	$(GO) test -race -run 'TestReplayDeterminism|TestEngine' -cpu 1,4 ./internal/replay
 
 # Coverage floors. The metrics subsystem is the measurement instrument
 # and the fault layer decides what fails and when — neither may rot

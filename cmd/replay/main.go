@@ -5,7 +5,7 @@
 // Usage:
 //
 //	replay [-files N] [-sample N] [-seed S] [-shards N] [-chunk N]
-//	       [-tasks PATH] [-trace FILE] [-stream] [-faults SPEC] [-naive]
+//	       [-tasks PATH] [-trace FILE] [-faults SPEC] [-naive]
 //	       [-cache-policy NAME] [-pool-bytes N]
 //	       [-metrics FORMAT] [-pprof ADDR]
 //	replay -trace FILE.bin -window OFF,LIM -shard-out FILE [spec flags]
@@ -34,20 +34,19 @@
 // With -trace it replays a recorded workload trace instead of generating
 // one; the format (csv, jsonl, or the seekable bin format) is
 // auto-detected from the file's magic bytes, falling back to the
-// extension. With -stream the trace is consumed through the
-// bounded-memory streaming pipeline: requests flow past once to discover
-// the populations and draw the Unicom sample, and the replay itself runs
-// through the streaming engine — the full request log is never resident.
-// Results are byte-identical to the slice path for the same seed. -chunk
-// sets the streaming engine's batch size (a pure performance knob; the
-// effective value appears as the odr_replay_stream_chunk gauge in the
-// -metrics dump). When the week is generated rather than read from a
-// file, -gen-workers pins the parallel generation worker count (0 =
-// GOMAXPROCS); the workload is byte-identical for any value.
+// extension. Either way the week streams past once to discover the
+// populations and draw the Unicom sample, so the full request log is
+// never resident. -chunk sets the replay engine's batch size (a pure
+// performance knob; the effective value appears as the
+// odr_replay_stream_chunk gauge in the -metrics dump). When the week is
+// generated rather than read from a file, -gen-workers pins the parallel
+// generation worker count (0 = GOMAXPROCS); the workload is
+// byte-identical for any value.
 //
 // With -tasks it also dumps the week simulation's task records as JSON
 // Lines (the pre-downloading + fetching traces of §3); the week simulator
-// needs the materialized trace, so -tasks is incompatible with -stream.
+// needs the materialized trace, so -tasks keeps the request log in
+// memory.
 //
 // With -metrics prom|json the ODR replay runs instrumented and the merged
 // metrics snapshot (decision counts, fetch histograms, backend outcomes)
@@ -83,8 +82,7 @@ func main() {
 	shards := flag.Int("shards", 0, "replay engine shards (0 = GOMAXPROCS; results are identical for any value)")
 	tasks := flag.String("tasks", "", "also dump week task records as JSONL to this path")
 	tracePath := flag.String("trace", "", "replay a recorded workload trace (csv/jsonl/bin, auto-detected) instead of generating one")
-	stream := flag.Bool("stream", false, "force the bounded-memory streaming pipeline")
-	chunk := flag.Int("chunk", 0, "streaming engine batch size in requests (0 = default; results are identical for any value)")
+	chunk := flag.Int("chunk", 0, "replay engine batch size in requests (0 = default; results are identical for any value)")
 	naive := flag.Bool("naive", false, "with -faults, disable the failure-aware routing policy (faults fail tasks outright)")
 	window := flag.String("window", "",
 		"distributed worker mode: replay only records OFF,LIM of the -trace bin file (requires -shard-out)")
@@ -100,7 +98,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*files, *sampleN, *seed, *shards, *chunk, *tasks, *tracePath, *stream,
+	if err := run(*files, *sampleN, *seed, *shards, *chunk, *tasks, *tracePath,
 		*naive, common); err != nil {
 		fmt.Fprintln(os.Stderr, "replay:", err)
 		os.Exit(1)
@@ -169,7 +167,7 @@ func odrOptions(seed uint64, shards, chunk int, naive bool,
 }
 
 func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePath string,
-	stream bool, naive bool, common *scenario.Common) error {
+	naive bool, common *scenario.Common) error {
 	if err := common.Validate(); err != nil {
 		return err
 	}
@@ -177,33 +175,22 @@ func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePat
 	if common.Pprof != "" {
 		go scenario.ServePprof(common.Pprof, log.Printf)
 	}
-	if stream {
-		if tasksPath != "" {
-			return fmt.Errorf("-tasks needs the materialized week trace; drop -stream")
-		}
-		if err := runStream(files, sampleN, seed, shards, chunk, tracePath, naive,
-			reg, common); err != nil {
-			return err
-		}
-		return scenario.DumpRegistry(os.Stderr, reg, common.Metrics)
-	}
-	tr, err := loadOrGenerate(files, seed, tracePath, common.GenWorkers)
+	w, err := loadWeek(files, sampleN, seed, tracePath, common.GenWorkers, tasksPath != "")
 	if err != nil {
 		return err
 	}
-	sample := workload.UnicomSample(tr, sampleN, seed)
 	aps := smartap.Benchmarked()
 
 	fmt.Printf("synthetic week: %d files, %d users, %d requests; replay sample: %d\n\n",
-		len(tr.Files), len(tr.Users), len(tr.Requests), len(sample))
+		len(w.Files), len(w.Users), w.total, len(w.sample))
 
-	bench := replay.RunAPBenchmark(sample, aps, seed)
-	baseline := replay.CloudOnlyBaseline(sample, tr.Files, seed)
-	odrOpts, err := odrOptions(seed, shards, 0, naive, common, reg)
+	bench := replay.RunAPBenchmark(w.sample, aps, seed)
+	baseline := replay.CloudOnlyBaseline(w.sample, w.Files, seed)
+	odrOpts, err := odrOptions(seed, shards, chunk, naive, common, reg)
 	if err != nil {
 		return err
 	}
-	odr := replay.RunODR(sample, tr.Files, aps, odrOpts)
+	odr := replay.RunODR(w.sample, w.Files, aps, odrOpts)
 	summarize(bench, baseline, odr)
 	summarizeFaults(odrOpts)
 	if err := scenario.DumpRegistry(os.Stderr, reg, common.Metrics); err != nil {
@@ -216,8 +203,8 @@ func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePat
 	// Run the full week and dump its task records.
 	eng := sim.New()
 	c := cloud.New(cloud.DefaultConfig(float64(files)/cloud.FullScaleFiles, seed), eng)
-	c.Prewarm(tr.Files)
-	c.RunTrace(tr)
+	c.Prewarm(w.Files)
+	c.RunTrace(&w.Trace)
 	f, err := os.Create(tasksPath)
 	if err != nil {
 		return err
@@ -230,65 +217,61 @@ func run(files, sampleN int, seed uint64, shards, chunk int, tasksPath, tracePat
 	return nil
 }
 
-// runStream is the bounded-memory path: one streaming pass discovers the
-// populations and draws the §5.1 sample, then the sample replays through
-// the streaming engine. Only the populations, the Unicom pool, and the
-// task records are ever resident.
-func runStream(files, sampleN int, seed uint64, shards, chunk int, tracePath string,
-	naive bool, reg *obs.Registry, common *scenario.Common) error {
-	tune := replay.StreamTuning{Chunk: chunk, GenWorkers: common.GenWorkers}
+// week is what a run needs from the workload: the populations, the
+// request count, and the §5.1 sample. Trace.Requests holds the request
+// log only when the week simulator needs it (-tasks).
+type week struct {
+	workload.Trace
+	total  int
+	sample []workload.Request
+}
+
+// loadWeek streams the week once — generated, or read from a recorded
+// trace (any format, auto-detected) — discovering the populations and
+// drawing the sample as the requests flow past. With keep it also
+// collects the request log; otherwise the log is never resident.
+func loadWeek(files, sampleN int, seed uint64, tracePath string, genWorkers int,
+	keep bool) (*week, error) {
+	w := &week{}
 	var (
-		sample  []workload.Request
-		filePop []*workload.FileMeta
-		userPop []*workload.User
-		total   int
-		err     error
+		src    workload.RequestSource
+		census *workload.Census
 	)
 	if tracePath == "" {
-		st, gerr := workload.GenerateStream(workload.DefaultConfig(files, seed), workload.DefaultStreamChunk)
-		if gerr != nil {
-			return gerr
-		}
-		filePop, userPop, total = st.Files, st.Users, st.TotalRequests()
-		sample, err = workload.UnicomSampleSource(st.RequestsWorkers(common.GenWorkers), sampleN, seed)
+		st, err := workload.GenerateStream(workload.DefaultConfig(files, seed), workload.DefaultStreamChunk)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		w.Files, w.Users, w.Span = st.Files, st.Users, st.Span
+		src = st.RequestsWorkers(genWorkers)
 	} else {
-		src, _, closer, oerr := trace.OpenWorkloadFile(tracePath)
-		if oerr != nil {
-			return oerr
+		fsrc, _, closer, err := trace.OpenWorkloadFile(tracePath)
+		if err != nil {
+			return nil, err
 		}
 		defer closer.Close()
-		census := workload.NewCensus()
-		counted := &countingSource{src: census.Wrap(src)}
-		sample, err = workload.UnicomSampleSource(counted, sampleN, seed)
+		census = workload.NewCensus()
+		src = census.Wrap(fsrc)
+		w.Span = 7 * 24 * time.Hour
+	}
+	if keep {
+		reqs, err := workload.Collect(src)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		filePop, userPop, total = census.Files(), census.Users(), counted.n
+		w.Requests = reqs
+		src = workload.NewSliceSource(reqs)
 	}
-	aps := smartap.Benchmarked()
-
-	fmt.Printf("streamed week: %d files, %d users, %d requests; replay sample: %d\n\n",
-		len(filePop), len(userPop), total, len(sample))
-
-	bench, err := replay.RunAPBenchmarkStream(workload.NewSliceSource(sample), aps, seed, shards, tune)
+	counted := &countingSource{src: src}
+	sample, err := workload.UnicomSampleSource(counted, sampleN, seed)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	baseline := replay.CloudOnlyBaseline(sample, filePop, seed)
-	odrOpts, err := odrOptions(seed, shards, chunk, naive, common, reg)
-	if err != nil {
-		return err
+	w.sample, w.total = sample, counted.n
+	if census != nil {
+		w.Files, w.Users = census.Files(), census.Users()
 	}
-	odr, err := replay.RunODRStream(workload.NewSliceSource(sample), filePop, aps, odrOpts)
-	if err != nil {
-		return err
-	}
-	summarize(bench, baseline, odr)
-	summarizeFaults(odrOpts)
-	return nil
+	return w, nil
 }
 
 // summarizeFaults appends the fault/resilience configuration to the
@@ -355,49 +338,4 @@ func summarize(bench *replay.APBench, baseline, odr *replay.ODRResult) {
 		bench.B4ExposedRatio()*100, odr.B4ExposedRatio()*100)
 	fmt.Printf("fetch speed median: cloud %.0f KBps  ODR %.0f KBps  (paper: 287 -> 368)\n",
 		baseline.FetchSpeeds().Median()/1024, odr.FetchSpeeds().Median()/1024)
-}
-
-// loadOrGenerate reads a recorded workload trace (any format,
-// auto-detected) when a path is given, or synthesizes one.
-func loadOrGenerate(files int, seed uint64, tracePath string, genWorkers int) (*workload.Trace, error) {
-	if tracePath == "" {
-		st, err := workload.GenerateStream(workload.DefaultConfig(files, seed), workload.DefaultStreamChunk)
-		if err != nil {
-			return nil, err
-		}
-		reqs, err := workload.Collect(st.RequestsWorkers(genWorkers))
-		if err != nil {
-			return nil, err
-		}
-		return &workload.Trace{
-			Files:    st.Files,
-			Users:    st.Users,
-			Requests: reqs,
-			Span:     st.Span,
-		}, nil
-	}
-	src, _, closer, err := trace.OpenWorkloadFile(tracePath)
-	if err != nil {
-		return nil, err
-	}
-	defer closer.Close()
-	reqs, err := workload.Collect(src)
-	if err != nil {
-		return nil, err
-	}
-	// Rebuild the file/user populations from the deduplicated requests.
-	seenF := map[*workload.FileMeta]bool{}
-	seenU := map[*workload.User]bool{}
-	tr := &workload.Trace{Requests: reqs, Span: 7 * 24 * time.Hour}
-	for _, r := range reqs {
-		if !seenF[r.File] {
-			seenF[r.File] = true
-			tr.Files = append(tr.Files, r.File)
-		}
-		if !seenU[r.User] {
-			seenU[r.User] = true
-			tr.Users = append(tr.Users, r.User)
-		}
-	}
-	return tr, nil
 }

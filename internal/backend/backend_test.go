@@ -60,7 +60,9 @@ func requests(sample []workload.Request, aps []*smartap.AP) func(i int) *backend
 func newSet(sample []workload.Request, files []*workload.FileMeta) *backend.Set {
 	set := backend.NewSet(files, cloud.DefaultConfig(
 		float64(len(files))/cloud.FullScaleFiles, fixtureSeed), fixtureSeed)
-	set.Cloud.Prime(sample)
+	for i := range sample {
+		set.Cloud.ObserveAt(i, sample[i].File, sample[i].Time)
+	}
 	return set
 }
 
@@ -175,7 +177,9 @@ func TestCloudStagnationTimeoutFromConfig(t *testing.T) {
 	cfg := cloud.DefaultConfig(float64(len(files))/cloud.FullScaleFiles, fixtureSeed)
 	cfg.StagnationTimeout = cfg.StagnationTimeout / 4
 	c := backend.NewCloud(files, cfg, fixtureSeed)
-	c.Prime(sample)
+	for i := range sample {
+		c.ObserveAt(i, sample[i].File, sample[i].Time)
+	}
 	root := dist.NewRNG(fixtureSeed).Split("conformance")
 	sawFailure := false
 	for i := range sample {

@@ -11,9 +11,11 @@ import (
 // pipeline end to end: the week is regenerated chunk by chunk with
 // GenerateStream, the §5.1 sample is drawn from the request stream with
 // UnicomSampleSource, and the replay runs through RunODRStream. Nothing
-// here touches the Lab's materialized trace, so agreement with ODR() is a
-// genuine two-implementation cross-check, memoized like the other
-// artifacts.
+// here touches the Lab's materialized trace, so agreement with ODR()
+// cross-checks the stream generator and sampler against the materialized
+// trace and UnicomSample. Both sides replay on the one engine, so the
+// engine itself is pinned elsewhere (TestReplayDeterminism's digest
+// pins). Memoized like the other artifacts.
 func (l *Lab) StreamODR() *replay.ODRResult {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -39,9 +41,9 @@ func (l *Lab) StreamODR() *replay.ODRResult {
 
 // StreamEquivalence regenerates the §6.2 headline numbers through the
 // streaming pipeline and diffs them against the slice pipeline. Every
-// diff metric must be exactly zero: the streaming generator, sampler and
-// replay engine are specified to be byte-identical to their slice
-// counterparts, not merely statistically close.
+// diff metric must be exactly zero: the streaming generator and sampler
+// are specified to be byte-identical to their slice counterparts, not
+// merely statistically close, and both sides replay on the same engine.
 func (l *Lab) StreamEquivalence() *Report {
 	r := newReport("S1", "Streaming pipeline: bounded-memory replay vs the slice path")
 	slice := l.ODR()

@@ -2,9 +2,10 @@
 // §5.1 smart-AP benchmark (a 1000-request Unicom sample split across the
 // three APs and replayed under each request's recorded access bandwidth)
 // and the §6.2 ODR evaluation (the same sample replayed through the ODR
-// decision procedure against a warmed cloud). Both run on a sharded,
-// deterministic parallel engine (see engine.go) over the pluggable
-// backend layer in odr/internal/backend.
+// decision procedure against a warmed cloud). Both run on one sharded,
+// deterministic parallel engine over a request stream (see engine.go)
+// against the pluggable backend layer in odr/internal/backend; the slice
+// entry points feed it through workload.NewSliceSource.
 package replay
 
 import (
@@ -40,13 +41,7 @@ type APBench struct {
 // in §5.1) with each request throttled to its user's recorded access
 // bandwidth and the environment's ADSL ceiling.
 func RunAPBenchmark(sample []workload.Request, aps []*smartap.AP, seed uint64) *APBench {
-	if len(aps) == 0 {
-		panic("replay: RunAPBenchmark needs at least one AP")
-	}
-	be := backend.NewSmartAP()
-	b := &APBench{}
-	b.Tasks, b.Engine = runSharded(sample, aps, seed, 0, nil, apTask(be))
-	return b
+	return mustSlice(RunAPBenchmarkStream(workload.NewSliceSource(sample), aps, seed, 0, StreamTuning{}))
 }
 
 // apTask builds the §5 benchmark's task callback: one pre-download on the
@@ -74,11 +69,11 @@ func apTask(be *backend.SmartAP) func(int, workload.Request, *backend.Request, *
 
 // RunAPBenchmarkStream replays a request stream across the APs without
 // holding the sample; output is byte-identical to RunAPBenchmark over the
-// collected slice for the same seed and shard count, for any tuning.
+// collected slice for the same seed, for any shard count and tuning.
 func RunAPBenchmarkStream(src workload.RequestSource, aps []*smartap.AP,
 	seed uint64, shards int, tune StreamTuning) (*APBench, error) {
 	if len(aps) == 0 {
-		panic("replay: RunAPBenchmarkStream needs at least one AP")
+		panic("replay: the AP benchmark needs at least one AP")
 	}
 	be := backend.NewSmartAP()
 	b := &APBench{}

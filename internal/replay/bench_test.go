@@ -43,19 +43,20 @@ func benchFixture(b *testing.B) ([]workload.Request, []*workload.FileMeta) {
 	return benchSample, benchTrace.Files
 }
 
-// BenchmarkStreamReplay measures the streaming request path's allocation
-// behavior: requests flow from the trace's request log through the reader
-// into per-shard channels, with per-worker scratch RNGs and request
-// structs. The acceptance bar is that per-request allocations are bounded
+// BenchmarkStreamReplay measures the engine's allocation behavior over a
+// long source: requests flow from the trace's request log through the
+// reader into per-shard channels, with per-worker scratch RNGs and
+// request structs, and tasks land in one task page sized from the
+// source. The acceptance bar is that per-request allocations are bounded
 // by chunk size, not stream length — allocs/op for the 200k-request
 // stream within ~2x of the 20k one after dividing by stream length. Both
 // sizes replay prefixes of the same trace over the same file population,
 // so the fixed setup cost (warm pool, file metadata) cancels out of the
 // comparison. Peak transient request memory is the engine's in-flight
-// window — shards × streamBatchDepth × chunk cells circulating between
-// the work queues and free lists — reported as the inflight-reqs metric;
-// a slice replay instead keeps all requests resident (the stream-len
-// metric).
+// window — at most shards × streamBatchDepth × chunk cells, allocated on
+// demand and circulating between the work queues and free lists —
+// reported as the inflight-reqs metric; the stream-len metric is what a
+// caller holding the whole request log keeps resident instead.
 // The metrics=on sub-runs quantify the observability overhead: the
 // acceptance bar is ≤5% requests/sec delta against metrics=off, with
 // allocs/op unchanged on the nil path.
@@ -136,8 +137,9 @@ func BenchmarkReplayTimeline(b *testing.B) {
 }
 
 // BenchmarkReplayParallel sweeps the engine's shard count over the
-// 50k-request trace. The acceptance bar is >2× requests/sec at 4 shards
-// versus 1.
+// 50k-request sample, fed through RunODR's slice source (so it also
+// tracks the slice entry point's fixed cost). The acceptance bar is >2×
+// requests/sec at 4 shards versus 1.
 func BenchmarkReplayParallel(b *testing.B) {
 	sample, files := benchFixture(b)
 	aps := smartap.Benchmarked()

@@ -12,22 +12,22 @@ import (
 	"odr/internal/workload"
 )
 
-// The sharded replay engine partitions a request sample by user across N
-// shards and replays each shard on its own goroutine. Its output is
-// byte-identical for every shard count and GOMAXPROCS because no request
-// outcome depends on execution order:
+// The sharded replay engine reads a request stream on the caller's
+// goroutine and fans it out by user across N shard workers. Its output is
+// byte-identical for every shard count, chunk size, pooling mode and
+// GOMAXPROCS because no request outcome depends on execution order:
 //
 //   - each request draws from its own RNG substream keyed by the
-//     request's GLOBAL sample index (root.Split64(i)), never from a
-//     shared sequential stream;
+//     request's GLOBAL index (root.Split64(i)), never from a shared
+//     sequential stream;
 //   - backend state is immutable after construction or memoized as a
 //     pure function of (seed, file), with cross-request cache visibility
-//     gated by sample index (see backend.Cloud.Prime), so "who ran
-//     first" is unobservable;
-//   - every shard writes tasks at disjoint global indices (directly into
-//     one pre-allocated slice on the slice path, via per-shard index/task
-//     buffers scattered by global index on the stream path), counts into
-//     its own ShardTotals, and backend ledgers use atomic integers — all
+//     gated by request index (see backend.Cloud.ObserveAt, which the
+//     reader calls in index order before dispatching each request), so
+//     "who ran first" is unobservable;
+//   - every shard writes its tasks in place at their global indices in
+//     task pages the reader allocated before dispatch, counts into its
+//     own ShardTotals, and backend ledgers use atomic integers — all
 //     merges are associative integer sums taken in shard order.
 //
 // All floating-point aggregation (ratios, means, stats.Sample) happens
@@ -92,12 +92,12 @@ type StreamTuning struct {
 // DefaultStreamChunk is the stream transport's default batch size.
 const DefaultStreamChunk = 512
 
-// streamBatchDepth is how many batches circulate per shard: the free
-// list starts with this many, so at any moment a shard has at most
-// streamBatchDepth batches between the reader's hands, its work queue,
-// and its worker. Together with the chunk size it caps how far the
-// reader can run ahead, keeping reader-side memory constant in stream
-// length.
+// streamBatchDepth is how many batches circulate per shard: the reader
+// allocates a shard's batches as it needs them, up to this many, so at
+// any moment a shard has at most streamBatchDepth batches between the
+// reader's hands, its work queue, and its worker. Together with the chunk
+// size it caps how far the reader can run ahead, keeping reader-side
+// memory constant in stream length.
 const streamBatchDepth = 8
 
 // chunkOf resolves the effective batch size.
@@ -172,21 +172,6 @@ func (eo *engineObs[T]) finish(regs []*obs.Registry, stats EngineStats) {
 	eo.dst.Counter("odr_replay_failures_total").Add(uint64(t.Failures))
 }
 
-// normalizeShards resolves a shard-count option: non-positive means "use
-// the machine", and a sample never needs more shards than requests.
-func normalizeShards(shards, sampleLen int) int {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if shards > sampleLen {
-		shards = sampleLen
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return shards
-}
-
 // userShard places a user on a shard. Fibonacci hashing decorrelates the
 // shard from the round-robin structure of user IDs and AP assignment.
 func userShard(u *workload.User, shards int) int {
@@ -194,13 +179,15 @@ func userShard(u *workload.User, shards int) int {
 	return int((h >> 32) % uint64(shards))
 }
 
-// streamCell carries one request from the reader to a shard worker. The
-// reader fills cells before the batch's channel send and the owning
-// worker reads them before releasing the batch — every access is ordered
-// by the channel operations.
-type streamCell struct {
+// streamCell carries one request from the reader to a shard worker,
+// with dst pointing at the request's slot in the task pages. The reader
+// fills cells before the batch's channel send and the owning worker reads
+// them before releasing the batch — every access is ordered by the
+// channel operations.
+type streamCell[T any] struct {
 	i    int
 	wreq workload.Request
+	dst  *T
 }
 
 // bindRequest points the reused backend request at one replay request,
@@ -222,10 +209,20 @@ func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG,
 	}
 }
 
-// runShardedStream is runSharded over a RequestSource: a single reader
-// goroutine (the caller) pulls requests in global-index order, invokes the
-// observe hook (cloud priming) on each, and packs them into fixed-size
-// batches fanned out to per-shard work channels keyed by user partition.
+// minTaskPage is the smallest task page the reader allocates when the
+// source does not know its length.
+const minTaskPage = 4096
+
+// runShardedStream replays a RequestSource across user-partitioned
+// shards: a single reader goroutine (the caller) pulls requests in
+// global-index order, invokes the observe hook (cloud observation) on
+// each, and packs them into fixed-size batches fanned out to per-shard
+// work channels. fn receives the request's local index, the raw workload
+// request, the backend-layer request (environment-bound, with its own RNG
+// substream), and the task slot to fill in place; it returns whether the
+// task succeeded. The request object and its RNG are pooled per shard —
+// fn must not retain them past the call. aps may be empty for AP-less
+// replays (the request's AP is then nil).
 //
 // base offsets every request's GLOBAL index: the source yields local
 // indices 0..n-1 (every RequestSource re-bases at 0), and the engine
@@ -237,28 +234,33 @@ func bindRequest(req *backend.Request, rng *dist.RNG, root *dist.RNG,
 // still receive the local index; callers that need the global one add
 // base themselves.
 //
-// The steady state allocates nothing per request. Batches circulate
-// between each shard's work queue and a free list (streamBatchDepth per
-// shard), so the transport reuses the same few arrays for the whole
-// stream; workers reuse one backend.Request and one scratch RNG each —
-// reseeded per request from the same index-keyed substream the slice path
-// draws — and append results to per-shard index/task buffers pre-sized
-// from the source's Sizer hint when it offers one. The buffers are
-// scattered into the final task slice by global index after the last
-// worker exits, so the output is byte-identical to runSharded over the
-// collected slice for any shard count, chunk size, pooling mode, and
-// GOMAXPROCS.
+// Non-positive shards selects GOMAXPROCS, and a source that knows its
+// length (workload.Sizer) never gets more shards than requests.
 //
-// Unlike the slice path, the stream length is unknown up front, so the
-// shard count is not capped by it; pass the same explicit positive count
-// to both paths when comparing digests of tiny samples.
+// The steady state allocates nothing per request. Each shard's batches
+// are allocated on first need, up to streamBatchDepth, and then circulate
+// between its work queue and a free list; workers reuse one
+// backend.Request and one scratch RNG each, reseeded per request from the
+// index-keyed substream. Tasks are written in place: the reader allocates
+// task pages ahead of dispatch and hands each cell a pointer to its
+// request's slot, so a sized source gets one page of exactly its length
+// that becomes the result without a copy. Shards own disjoint slots, so
+// the output is byte-identical for any shard count, chunk size, pooling
+// mode, and GOMAXPROCS.
 func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	seed uint64, base, shards int, tune StreamTuning, eo *engineObs[T],
 	observe func(i int, wreq workload.Request),
 	fn func(i int, wreq workload.Request, req *backend.Request, task *T) bool,
 ) ([]T, EngineStats, error) {
+	hint := 0
+	if sz, ok := src.(workload.Sizer); ok {
+		hint = sz.TotalRequests()
+	}
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
+	}
+	if hint > 0 && shards > hint {
+		shards = hint
 	}
 	chunk := tune.chunkOf()
 	root := dist.NewRNG(seed).Split("replay-engine")
@@ -275,36 +277,15 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		eo.dst.Gauge(MetricStreamChunk).Set(int64(chunk))
 	}
 
-	// Pre-size each shard's output buffers when the source knows its
-	// length. Fibonacci hashing spreads users near-uniformly, so a shard's
-	// share is about hint/shards; the extra quarter plus one chunk absorbs
-	// partition imbalance without a mid-run regrowth.
-	hint := 0
-	if sz, ok := src.(workload.Sizer); ok {
-		hint = sz.TotalRequests()
-	}
-	per := 0
-	if hint > 0 {
-		per = hint/shards + hint/(4*shards) + chunk
-	}
-	outIdx := make([][]int32, shards)
-	outWide := make([][]int, shards) // used instead of outIdx past 2^31 requests
-	outTasks := make([][]T, shards)
-
-	work := make([]chan []streamCell, shards)
-	free := make([]chan []streamCell, shards)
-	for s := 0; s < shards; s++ {
-		outIdx[s] = make([]int32, 0, per)
-		outTasks[s] = make([]T, 0, per)
-		work[s] = make(chan []streamCell, streamBatchDepth)
+	work := make([]chan []streamCell[T], shards)
+	free := make([]chan []streamCell[T], shards)
+	for s := range work {
+		work[s] = make(chan []streamCell[T], streamBatchDepth)
 		if !tune.DisablePooling {
-			// Stock the free list with the shard's full batch budget; the
-			// worker's release below can then never block, and the reader's
-			// receive here is the transport's only backpressure point.
-			free[s] = make(chan []streamCell, streamBatchDepth)
-			for j := 0; j < streamBatchDepth; j++ {
-				free[s] <- make([]streamCell, 0, chunk)
-			}
+			// Room for the shard's whole batch budget: the worker's release
+			// below never blocks, and the reader's receive is the
+			// transport's only backpressure point.
+			free[s] = make(chan []streamCell[T], streamBatchDepth)
 		}
 	}
 
@@ -317,38 +298,28 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 			record := eo.recorder(regs, s)
 			req := &backend.Request{}
 			rng := dist.NewRNG(0)
-			idx, wide, tasks := outIdx[s], outWide[s], outTasks[s]
 			for batch := range work[s] {
 				for k := range batch {
 					c := &batch[k]
 					bindRequest(req, rng, root, base+c.i, c.wreq, aps)
-					var zero T
-					tasks = append(tasks, zero)
-					t := &tasks[len(tasks)-1]
-					ok := fn(c.i, c.wreq, req, t)
-					if c.i <= maxInt32 {
-						idx = append(idx, int32(c.i))
-					} else {
-						wide = append(wide, c.i)
-					}
+					ok := fn(c.i, c.wreq, req, c.dst)
 					totals.Tasks++
 					if !ok {
 						totals.Failures++
 					}
 					if record != nil {
-						record(t, ok)
+						record(c.dst, ok)
 					}
 				}
 				if poisonReleasedBatches {
 					for k := range batch {
-						batch[k] = streamCell{i: poisonIndex}
+						batch[k] = streamCell[T]{i: poisonIndex}
 					}
 				}
 				if free[s] != nil {
 					free[s] <- batch[:0]
 				}
 			}
-			outIdx[s], outWide[s], outTasks[s] = idx, wide, tasks
 		}(s)
 	}
 
@@ -358,12 +329,27 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		}
 		wg.Wait()
 	}
-	fail := func(err error) ([]T, EngineStats, error) {
-		shut()
-		return nil, stats, err
-	}
 
-	cur := make([][]streamCell, shards)
+	cur := make([][]streamCell[T], shards)
+	made := make([]int, shards)
+	// batchFor returns an empty batch for shard s: a recycled one when the
+	// worker has released one, a new one while the shard is under its
+	// budget (or pooling is off), and otherwise the next release.
+	batchFor := func(s int) []streamCell[T] {
+		if free[s] == nil {
+			return make([]streamCell[T], 0, chunk)
+		}
+		select {
+		case b := <-free[s]:
+			return b
+		default:
+		}
+		if made[s] < streamBatchDepth {
+			made[s]++
+			return make([]streamCell[T], 0, chunk)
+		}
+		return <-free[s]
+	}
 	flush := func(s int) {
 		if len(cur[s]) == 0 {
 			return
@@ -374,28 +360,38 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 		work[s] <- cur[s]
 		cur[s] = nil
 	}
-	n := 0
+	// Task pages: page holds the slots of requests [pageBase,
+	// pageBase+len(page)). The first page is the source's full length when
+	// it knows it; otherwise pages double the space so far.
+	var pages [][]T
+	var page []T
+	pageBase, n := 0, 0
 	for {
 		i, wreq, ok := src.Next()
 		if !ok {
 			break
 		}
 		if i != n {
-			return fail(fmt.Errorf("replay: source yielded index %d, want %d", i, n))
+			shut()
+			return nil, stats, fmt.Errorf("replay: source yielded index %d, want %d", i, n)
 		}
 		if observe != nil {
 			observe(i, wreq)
 		}
+		if i-pageBase == len(page) {
+			size := max(n, minTaskPage)
+			if n == 0 && hint > 0 {
+				size = hint
+			}
+			pageBase, page = n, make([]T, size)
+			pages = append(pages, page)
+		}
 		n++
 		s := userShard(wreq.User, shards)
 		if cur[s] == nil {
-			if free[s] != nil {
-				cur[s] = <-free[s]
-			} else {
-				cur[s] = make([]streamCell, 0, chunk)
-			}
+			cur[s] = batchFor(s)
 		}
-		cur[s] = append(cur[s], streamCell{i: i, wreq: wreq})
+		cur[s] = append(cur[s], streamCell[T]{i: i, wreq: wreq, dst: &page[i-pageBase]})
 		if len(cur[s]) == chunk {
 			flush(s)
 		}
@@ -408,70 +404,13 @@ func runShardedStream[T any](src workload.RequestSource, aps []*smartap.AP,
 	if err := src.Err(); err != nil {
 		return nil, stats, err
 	}
-
-	// Scatter each shard's results to their global positions. Shards own
-	// disjoint index sets, so every slot is written exactly once and the
-	// result is independent of shard iteration order.
+	if len(pages) == 1 {
+		return pages[0][:n], stats, nil
+	}
 	tasks := make([]T, n)
-	for s := range outTasks {
-		narrow, ts := outIdx[s], outTasks[s]
-		for j := range narrow {
-			tasks[narrow[j]] = ts[j]
-		}
-		for j, gi := range outWide[s] {
-			tasks[gi] = ts[len(narrow)+j]
-		}
+	off := 0
+	for _, p := range pages {
+		off += copy(tasks[off:], p)
 	}
 	return tasks, stats, nil
-}
-
-// maxInt32 bounds the compact per-shard index representation; a stream
-// longer than 2^31 requests spills into the wide index buffer.
-const maxInt32 = int(^uint32(0) >> 1)
-
-// runSharded replays sample through fn across user-partitioned shards.
-// fn receives the request's global index, the raw workload request, the
-// backend-layer request (environment-bound, with its own RNG substream),
-// and the task slot to fill in place; it returns whether the task
-// succeeded. The request object and its RNG are pooled per shard — fn
-// must not retain them past the call. aps may be empty for AP-less
-// replays (the request's AP is then nil).
-func runSharded[T any](sample []workload.Request, aps []*smartap.AP,
-	seed uint64, shards int, eo *engineObs[T],
-	fn func(i int, wreq workload.Request, req *backend.Request, task *T) bool,
-) ([]T, EngineStats) {
-	shards = normalizeShards(shards, len(sample))
-	root := dist.NewRNG(seed).Split("replay-engine")
-	tasks := make([]T, len(sample))
-	stats := EngineStats{Shards: shards, PerShard: make([]ShardTotals, shards)}
-	regs := eo.shardRegistries(shards)
-
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			totals := &stats.PerShard[s]
-			record := eo.recorder(regs, s)
-			req := &backend.Request{}
-			rng := dist.NewRNG(0)
-			for i := range sample {
-				if userShard(sample[i].User, shards) != s {
-					continue
-				}
-				bindRequest(req, rng, root, i, sample[i], aps)
-				ok := fn(i, sample[i], req, &tasks[i])
-				totals.Tasks++
-				if !ok {
-					totals.Failures++
-				}
-				if record != nil {
-					record(&tasks[i], ok)
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	eo.finish(regs, stats)
-	return tasks, stats
 }

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"reflect"
@@ -44,6 +45,24 @@ func TestReplayDeterminism(t *testing.T) {
 	f := setup(t)
 	ref := RunODR(f.sample, f.trace.Files, f.aps, Options{Seed: 14, Shards: 1})
 	want := digest(ref)
+
+	// Engine-independent oracle: SHA-256 pins of the seed-14 digests,
+	// recorded on linux/amd64. Every other check below compares the
+	// engine with itself; these catch a change that moves all of it.
+	for _, pin := range []struct{ name, digest, sha string }{
+		{"RunODR", want,
+			"794315df55861cda046ad4fa9d67472b4a7ea3902bfdc257e8f500e5b7919a44"},
+		{"RunAPBenchmark", apDigest(RunAPBenchmark(f.sample, f.aps, 14)),
+			"c38167e3d7417734a5346b1bd3eae85e19b91d84e8126efd790f700665b3556d"},
+		{"HybridBaseline", digest(HybridBaseline(f.sample, f.trace.Files, f.aps, 14)),
+			"83c679f0b8b23233559700481801835139d11f4ca2d134c2ecd2202b4cc4c1d2"},
+		{"CloudOnlyBaseline", digest(CloudOnlyBaseline(f.sample, f.trace.Files, 14)),
+			"8c91efefa33c7844b12a5308dcc8510bb3d250e65d7ee67a09f15342a0789e35"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(pin.digest))); got != pin.sha {
+			t.Errorf("%s: seed-14 digest sha256 = %s, pinned %s", pin.name, got, pin.sha)
+		}
+	}
 	for _, shards := range []int{2, 8, 0} {
 		got := RunODR(f.sample, f.trace.Files, f.aps, Options{Seed: 14, Shards: shards})
 		if got.Engine.Shards < 1 {
@@ -55,10 +74,8 @@ func TestReplayDeterminism(t *testing.T) {
 		}
 	}
 
-	// Slice-vs-stream equivalence: replaying the sample through a
-	// RequestSource — reader goroutine, per-shard channels, per-worker
-	// scratch RNGs, streaming cloud priming — must reproduce the slice
-	// path byte-for-byte at every shard count.
+	// Entry-point equivalence: RunODRStream over a slice source must
+	// reproduce RunODR byte-for-byte at every shard count.
 	for _, shards := range []int{1, 4, 8} {
 		got, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files,
 			f.aps, Options{Seed: 14, Shards: shards})
@@ -66,7 +83,7 @@ func TestReplayDeterminism(t *testing.T) {
 			t.Fatalf("stream shards=%d: %v", shards, err)
 		}
 		if d := digest(got); d != want {
-			t.Fatalf("stream shards=%d: streamed replay diverged from the slice path\nfirst differing line:\n%s",
+			t.Fatalf("stream shards=%d: streamed replay diverged from RunODR\nfirst differing line:\n%s",
 				shards, firstDiff(want, d))
 		}
 	}
@@ -78,7 +95,7 @@ func TestReplayDeterminism(t *testing.T) {
 			t.Fatalf("AP stream shards=%d: %v", shards, err)
 		}
 		if d := apDigest(got); d != apWant {
-			t.Fatalf("AP stream shards=%d: diverged from the slice path\nfirst differing line:\n%s",
+			t.Fatalf("AP stream shards=%d: diverged from RunODR\nfirst differing line:\n%s",
 				shards, firstDiff(apWant, d))
 		}
 	}
@@ -98,17 +115,17 @@ func TestReplayDeterminism(t *testing.T) {
 			t.Fatalf("tune %+v: %v", tune, err)
 		}
 		if d := digest(got); d != want {
-			t.Fatalf("tune %+v: tuned stream diverged from the slice path\nfirst differing line:\n%s",
+			t.Fatalf("tune %+v: tuned stream diverged from RunODR\nfirst differing line:\n%s",
 				tune, firstDiff(want, d))
 		}
 	}
 
 	// Metrics must be pure observation. Instrumented replays produce
 	// byte-identical digests (metrics on/off), and the merged per-shard
-	// registries are identical for every shard count and for the stream
-	// path — minus the in-flight peak gauge, which is scheduling-
-	// dependent by nature and exempted from the contract (it lives in
-	// the destination registry, never in a shard's).
+	// registries are identical for every shard count and entry point —
+	// minus the transport gauges, which DeterministicSnapshot drops: the
+	// in-flight peak is scheduling-dependent by nature and the chunk is a
+	// knob (both live in the destination registry, never in a shard's).
 	refReg := obs.NewRegistry()
 	instr := RunODR(f.sample, f.trace.Files, f.aps,
 		Options{Seed: 14, Shards: 1, Metrics: refReg})
@@ -116,7 +133,7 @@ func TestReplayDeterminism(t *testing.T) {
 		t.Fatalf("metrics=on shards=1: instrumentation changed the replay\nfirst differing line:\n%s",
 			firstDiff(want, d))
 	}
-	wantSnap := refReg.Snapshot()
+	wantSnap := DeterministicSnapshot(refReg)
 	if len(wantSnap.Counters) == 0 || len(wantSnap.Histograms) == 0 {
 		t.Fatal("instrumented replay recorded no metrics")
 	}
@@ -131,7 +148,7 @@ func TestReplayDeterminism(t *testing.T) {
 			t.Fatalf("metrics=on shards=%d: instrumentation changed the replay\nfirst differing line:\n%s",
 				shards, firstDiff(want, d))
 		}
-		if snap := reg.Snapshot(); !reflect.DeepEqual(snap, wantSnap) {
+		if snap := DeterministicSnapshot(reg); !reflect.DeepEqual(snap, wantSnap) {
 			t.Fatalf("metrics shards=%d: merged registry differs from the single-shard registry\nfirst differing line:\n%s",
 				shards, firstDiff(snapJSON(t, wantSnap), snapJSON(t, snap)))
 		}
@@ -155,19 +172,15 @@ func TestReplayDeterminism(t *testing.T) {
 			t.Fatalf("stream shards=%d: chunk gauge = %d (recorded %v), want %d",
 				shards, v, ok, DefaultStreamChunk)
 		}
-		// Both gauges describe the transport, not the replay, and are
-		// exempt from the shard-merge determinism contract.
-		delete(snap.Gauges, MetricInflightPeak)
-		delete(snap.Gauges, MetricStreamChunk)
-		if !reflect.DeepEqual(snap, wantSnap) {
-			t.Fatalf("metrics stream shards=%d: registry differs from the slice path\nfirst differing line:\n%s",
+		if snap := DeterministicSnapshot(reg); !reflect.DeepEqual(snap, wantSnap) {
+			t.Fatalf("metrics stream shards=%d: registry differs from RunODR's\nfirst differing line:\n%s",
 				shards, firstDiff(snapJSON(t, wantSnap), snapJSON(t, snap)))
 		}
 	}
 
 	// Policy axis: under every cache policy — with the pool squeezed so
 	// eviction actually runs — the replay must stay byte-identical across
-	// shard counts, slice vs stream, and transport tuning. The pool
+	// shard counts, entry points, and transport tuning. The pool
 	// evolves only in the sequential observation pass and each request's
 	// verdict is latched there, so worker scheduling cannot leak in.
 	var popBytes int64
@@ -198,7 +211,7 @@ func TestReplayDeterminism(t *testing.T) {
 				t.Fatalf("policy=%s stream shards=%d: %v", policy, shards, err)
 			}
 			if d := digest(got); d != pWant {
-				t.Fatalf("policy=%s stream shards=%d: diverged from the slice path\nfirst differing line:\n%s",
+				t.Fatalf("policy=%s stream shards=%d: diverged from RunODR\nfirst differing line:\n%s",
 					policy, shards, firstDiff(pWant, d))
 			}
 		}
@@ -210,7 +223,7 @@ func TestReplayDeterminism(t *testing.T) {
 			t.Fatalf("policy=%s tuned stream: %v", policy, err)
 		}
 		if d := digest(got); d != pWant {
-			t.Fatalf("policy=%s tuned stream: diverged from the slice path\nfirst differing line:\n%s",
+			t.Fatalf("policy=%s tuned stream: diverged from RunODR\nfirst differing line:\n%s",
 				policy, firstDiff(pWant, d))
 		}
 
@@ -231,14 +244,14 @@ func TestReplayDeterminism(t *testing.T) {
 
 	// Pool metrics obey the shard-merge contract: the post-run snapshot
 	// is a pure function of the request sequence, so the merged registry
-	// (pool series included) is identical for every shard count and for
-	// the stream path.
+	// (pool series included) is identical for every shard count and entry
+	// point.
 	polRef := obs.NewRegistry()
 	polOpts := Options{Seed: 14, Shards: 1, CachePolicy: "band", PoolBytes: pressure, Metrics: polRef}
 	if d := digest(RunODR(f.sample, f.trace.Files, f.aps, polOpts)); d == want {
 		t.Fatal("pressured band replay unexpectedly matches the static reference")
 	}
-	polSnap := polRef.Snapshot()
+	polSnap := DeterministicSnapshot(polRef)
 	if _, ok := polSnap.Counters[obs.Label(MetricPoolHits, "policy", "band")]; !ok {
 		t.Fatalf("missing %s in instrumented policy snapshot", MetricPoolHits)
 	}
@@ -251,7 +264,7 @@ func TestReplayDeterminism(t *testing.T) {
 		opts.Shards = shards
 		opts.Metrics = reg
 		RunODR(f.sample, f.trace.Files, f.aps, opts)
-		if snap := reg.Snapshot(); !reflect.DeepEqual(snap, polSnap) {
+		if snap := DeterministicSnapshot(reg); !reflect.DeepEqual(snap, polSnap) {
 			t.Fatalf("policy metrics shards=%d: merged registry differs\nfirst differing line:\n%s",
 				shards, firstDiff(snapJSON(t, polSnap), snapJSON(t, snap)))
 		}
@@ -264,11 +277,8 @@ func TestReplayDeterminism(t *testing.T) {
 		if _, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files, f.aps, opts); err != nil {
 			t.Fatalf("policy metrics stream: %v", err)
 		}
-		snap := reg.Snapshot()
-		delete(snap.Gauges, MetricInflightPeak)
-		delete(snap.Gauges, MetricStreamChunk)
-		if !reflect.DeepEqual(snap, polSnap) {
-			t.Fatalf("policy metrics stream: registry differs from the slice path\nfirst differing line:\n%s",
+		if snap := DeterministicSnapshot(reg); !reflect.DeepEqual(snap, polSnap) {
+			t.Fatalf("policy metrics stream: registry differs from RunODR's\nfirst differing line:\n%s",
 				firstDiff(snapJSON(t, polSnap), snapJSON(t, snap)))
 		}
 	}
@@ -374,7 +384,7 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 
 	// The baselines and the AP benchmark shard at GOMAXPROCS; two runs
-	// must still match exactly.
+	// must still match exactly (the pins above fix their values).
 	if digest(HybridBaseline(f.sample, f.trace.Files, f.aps, 14)) !=
 		digest(HybridBaseline(f.sample, f.trace.Files, f.aps, 14)) {
 		t.Fatal("hybrid baseline not deterministic")
@@ -410,29 +420,43 @@ func firstDiff(a, b string) string {
 }
 
 // TestEngineShardTotals checks the shard partition is exhaustive and
-// disjoint: per-shard totals sum to the sample size for any shard count.
+// disjoint — per-shard totals sum to the sample size for any shard count —
+// and that a sized source never gets more shards than requests, through
+// either entry point.
 func TestEngineShardTotals(t *testing.T) {
 	f := setup(t)
-	for _, shards := range []int{1, 3, 7, 64, 5000} {
-		res := RunODR(f.sample, f.trace.Files, f.aps, Options{Seed: 9, Shards: shards})
-		if res.Engine.Shards > len(f.sample) {
-			t.Errorf("shards=%d: engine used %d shards for %d requests",
-				shards, res.Engine.Shards, len(f.sample))
-		}
-		tot := res.Engine.Totals()
-		if tot.Tasks != int64(len(f.sample)) {
-			t.Errorf("shards=%d: per-shard totals cover %d of %d requests",
-				shards, tot.Tasks, len(f.sample))
-		}
-		var fails int64
-		for i := range res.Tasks {
-			if !res.Tasks[i].Success {
-				fails++
+	runs := map[string]func(Options) *ODRResult{
+		"RunODR": func(o Options) *ODRResult { return RunODR(f.sample, f.trace.Files, f.aps, o) },
+		"RunODRStream": func(o Options) *ODRResult {
+			res, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files, f.aps, o)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if tot.Failures != fails {
-			t.Errorf("shards=%d: shard failure totals %d, tasks say %d",
-				shards, tot.Failures, fails)
+			return res
+		},
+	}
+	for name, run := range runs {
+		for _, shards := range []int{1, 3, 7, 64, 5000} {
+			res := run(Options{Seed: 9, Shards: shards})
+			if res.Engine.Shards > len(f.sample) {
+				t.Errorf("%s shards=%d: engine used %d shards for %d requests",
+					name, shards, res.Engine.Shards, len(f.sample))
+			}
+			tot := res.Engine.Totals()
+			if tot.Tasks != int64(len(f.sample)) {
+				t.Errorf("%s shards=%d: per-shard totals cover %d of %d requests",
+					name, shards, tot.Tasks, len(f.sample))
+			}
+			var fails int64
+			for i := range res.Tasks {
+				if !res.Tasks[i].Success {
+					fails++
+				}
+			}
+			if tot.Failures != fails {
+				t.Errorf("%s shards=%d: shard failure totals %d, tasks say %d",
+					name, shards, tot.Failures, fails)
+			}
 		}
 	}
 }
@@ -536,7 +560,8 @@ func TestEngineRequestStreams(t *testing.T) {
 		draws  [4]float64
 	}
 	got := make([]*reqSnap, n)
-	runSharded(sample, f.aps, seed, 4, nil,
+	_, _, err := runShardedStream(workload.NewSliceSource(sample), f.aps, seed, 0, 4,
+		StreamTuning{Chunk: 3}, nil, nil,
 		func(i int, _ workload.Request, req *backend.Request, _ *struct{}) bool {
 			s := &reqSnap{index: req.Index, user: req.User, file: req.File,
 				ap: req.AP == f.aps[i%len(f.aps)], envCap: req.EnvCap}
@@ -546,6 +571,9 @@ func TestEngineRequestStreams(t *testing.T) {
 			got[i] = s
 			return true
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	root := dist.NewRNG(seed).Split("replay-engine")
 	for i := 0; i < n; i++ {
 		req := got[i]

@@ -30,7 +30,7 @@ func TestReplayDeterminismFaults(t *testing.T) {
 	refReg := obs.NewRegistry()
 	ref := RunODR(f.sample, f.trace.Files, f.aps, opts(1, StreamTuning{}, refReg))
 	want := digest(ref)
-	wantSnap := refReg.Snapshot()
+	wantSnap := DeterministicSnapshot(refReg)
 
 	// Faults must actually bite for the test to mean anything: injected
 	// faults recorded, some fault-class failures, some retries.
@@ -54,8 +54,9 @@ func TestReplayDeterminismFaults(t *testing.T) {
 		t.Fatal("failure-aware routing never rerouted a task at intensity 0.4")
 	}
 
-	// Slice path: every shard count reproduces the reference digest and
-	// the reference metrics registry exactly.
+	// Every shard count reproduces the reference digest and the
+	// reference metrics registry exactly (transport gauges aside, as in
+	// the fault-free test).
 	for _, shards := range []int{4, 8} {
 		reg := obs.NewRegistry()
 		got := RunODR(f.sample, f.trace.Files, f.aps, opts(shards, StreamTuning{}, reg))
@@ -63,13 +64,13 @@ func TestReplayDeterminismFaults(t *testing.T) {
 			t.Fatalf("faults shards=%d: replay diverged from the single-shard reference\nfirst differing line:\n%s",
 				shards, firstDiff(want, d))
 		}
-		if snap := reg.Snapshot(); !reflect.DeepEqual(snap, wantSnap) {
+		if snap := DeterministicSnapshot(reg); !reflect.DeepEqual(snap, wantSnap) {
 			t.Fatalf("faults shards=%d: merged registry differs from the single-shard registry\nfirst differing line:\n%s",
 				shards, firstDiff(snapJSON(t, wantSnap), snapJSON(t, snap)))
 		}
 	}
 
-	// Stream path: shard counts × transport tunings, all byte-identical.
+	// RunODRStream: shard counts × transport tunings, all byte-identical.
 	for _, tc := range []struct {
 		shards int
 		tune   StreamTuning
@@ -89,17 +90,11 @@ func TestReplayDeterminismFaults(t *testing.T) {
 			t.Fatalf("faults stream shards=%d tune=%+v: %v", tc.shards, tc.tune, err)
 		}
 		if d := digest(got); d != want {
-			t.Fatalf("faults stream shards=%d tune=%+v: diverged from the slice reference\nfirst differing line:\n%s",
+			t.Fatalf("faults stream shards=%d tune=%+v: diverged from the RunODR reference\nfirst differing line:\n%s",
 				tc.shards, tc.tune, firstDiff(want, d))
 		}
-		snap := reg.Snapshot()
-		// The transport gauges are scheduling/tuning descriptors, exempt
-		// from the determinism contract (same exemption as the fault-free
-		// test).
-		delete(snap.Gauges, MetricInflightPeak)
-		delete(snap.Gauges, MetricStreamChunk)
-		if !reflect.DeepEqual(snap, wantSnap) {
-			t.Fatalf("faults stream shards=%d tune=%+v: registry differs from the slice path\nfirst differing line:\n%s",
+		if snap := DeterministicSnapshot(reg); !reflect.DeepEqual(snap, wantSnap) {
+			t.Fatalf("faults stream shards=%d tune=%+v: registry differs from RunODR's\nfirst differing line:\n%s",
 				tc.shards, tc.tune, firstDiff(snapJSON(t, wantSnap), snapJSON(t, snap)))
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // code path that wrongly holds onto a cell across release dereferences
 // nil or replays a nonsense index instead of silently reading stale data.
 // Two replays run interleaved on separate goroutines to stress reuse
-// under contention; both must still reproduce their slice-path reference
+// under contention; both must still reproduce their RunODR reference
 // byte-for-byte. A tiny chunk maximizes recycle churn.
 func TestStreamPoolHygiene(t *testing.T) {
 	f := setup(t)
@@ -61,7 +61,7 @@ func TestStreamPoolHygiene(t *testing.T) {
 			t.Fatalf("seed=%d: %v", r.seed, r.err)
 		}
 		if r.got != r.want {
-			t.Errorf("seed=%d: poisoned pooled replay diverged from slice path\nfirst differing line:\n%s",
+			t.Errorf("seed=%d: poisoned pooled replay diverged from RunODR\nfirst differing line:\n%s",
 				r.seed, firstDiff(r.want, r.got))
 		}
 	}
@@ -167,22 +167,28 @@ func TestODRResultSummaryMatchesScan(t *testing.T) {
 
 // TestStreamSizerPresizing sanity-checks the Sizer plumbing end to end: a
 // sized source replays identically to an unsized wrapper of the same
-// stream (pre-sizing is purely an optimization).
+// stream (pre-sizing is purely an optimization). The unsized runs cover
+// both one partly filled task page and a stream spanning several pages.
 func TestStreamSizerPresizing(t *testing.T) {
 	f := setup(t)
-	sized, err := RunODRStream(workload.NewSliceSource(f.sample), f.trace.Files,
-		f.aps, Options{Seed: 14, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unsized, err := RunODRStream(&hideSizer{src: workload.NewSliceSource(f.sample)},
-		f.trace.Files, f.aps, Options{Seed: 14, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if digest(sized) != digest(unsized) {
-		t.Fatalf("sized vs unsized source diverged\nfirst differing line:\n%s",
-			firstDiff(digest(sized), digest(unsized)))
+	for _, reqs := range [][]workload.Request{f.sample, f.trace.Requests[:3*minTaskPage]} {
+		sized, err := RunODRStream(workload.NewSliceSource(reqs), f.trace.Files,
+			f.aps, Options{Seed: 14, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		unsized, err := RunODRStream(&hideSizer{src: workload.NewSliceSource(reqs)},
+			f.trace.Files, f.aps, Options{Seed: 14, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(unsized.Tasks) != len(reqs) {
+			t.Fatalf("unsized %d requests: replayed %d tasks", len(reqs), len(unsized.Tasks))
+		}
+		if digest(sized) != digest(unsized) {
+			t.Fatalf("%d requests: sized vs unsized source diverged\nfirst differing line:\n%s",
+				len(reqs), firstDiff(digest(sized), digest(unsized)))
+		}
 	}
 }
 
@@ -207,9 +213,8 @@ func (s *sizerSpy) TotalRequests() int                  { s.calls++; return s.sz
 
 // TestTraceFedRunsPresize closes the Sizer loop for trace files: a bin
 // trace opened from a seekable reader advertises its record count from
-// the trailer, and the streaming engine consults that hint, so replays
-// fed straight from a trace file pre-size their shard buffers exactly
-// like slice-fed ones.
+// the trailer, and the engine consults that hint, so replays fed straight
+// from a trace file allocate one exact task page like slice-fed ones.
 func TestTraceFedRunsPresize(t *testing.T) {
 	f := setup(t)
 	msSample := append([]workload.Request(nil), f.sample...)
@@ -241,7 +246,7 @@ func TestTraceFedRunsPresize(t *testing.T) {
 	}
 	want := digest(RunODR(msSample, f.trace.Files, f.aps, Options{Seed: 14, Shards: 4}))
 	if d := digest(got); d != want {
-		t.Fatalf("trace-fed pre-sized replay diverged from the slice reference\nfirst differing line:\n%s",
+		t.Fatalf("trace-fed pre-sized replay diverged from the RunODR reference\nfirst differing line:\n%s",
 			firstDiff(want, d))
 	}
 }

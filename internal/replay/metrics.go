@@ -56,6 +56,17 @@ const (
 	MetricPoolPrefetchBytes = "odr_pool_prefetch_bytes_total"
 )
 
+// DeterministicSnapshot snapshots reg without the two transport gauges
+// (MetricInflightPeak, MetricStreamChunk). What remains is what the
+// shard-merge determinism contract covers: two snapshots of the same
+// replay are equal whatever the shard count, tuning, or scheduling.
+func DeterministicSnapshot(reg *obs.Registry) *obs.Snapshot {
+	s := reg.Snapshot()
+	delete(s.Gauges, MetricInflightPeak)
+	delete(s.Gauges, MetricStreamChunk)
+	return s
+}
+
 // recordPoolMetrics snapshots the cloud backend's storage pool into the
 // replay registry once, after the run. Nil-safe on dst.
 func recordPoolMetrics(dst *obs.Registry, c *backend.Cloud) {

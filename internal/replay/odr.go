@@ -175,16 +175,17 @@ type Options struct {
 	// task. Nil replays naively: injected faults fail tasks outright.
 	// Zero fields take RetryPolicy defaults.
 	Resilience *backend.RetryPolicy
-	// Stream tunes the streaming transport (RunODRStream only): batch
-	// size and pooling. The zero value selects defaults, and tuning never
-	// changes replay results.
+	// Stream tunes the engine's transport: batch size and pooling. The
+	// zero value selects defaults, and tuning never changes replay
+	// results.
 	Stream StreamTuning
 	// Metrics, when non-nil, receives the replay's observability: decision
 	// counts per backend and reason, fetch latency/byte histograms,
 	// stagnation counters, backend probe/pre-download/fetch outcomes, and
 	// engine totals. Recording never changes replay results — digests are
 	// byte-identical with Metrics nil or set — and the merged values are
-	// identical for every shard count (TestReplayDeterminism pins both).
+	// identical for every shard count, apart from the two transport
+	// gauges (see DropTransportGauges; TestReplayDeterminism pins both).
 	Metrics *obs.Registry
 	// Timeline, when non-nil, builds a windowed observability timeline
 	// over the merged task records (ODRResult.Timeline). Building it
@@ -204,15 +205,6 @@ func (o Options) cloudConfig() cloud.Config {
 		cfg.PoolCapacity = o.PoolBytes
 	}
 	return cfg
-}
-
-// newBackends builds the replay's backend fleet and primes the cloud's
-// index-gated cache visibility over the sample.
-func newBackends(sample []workload.Request, files []*workload.FileMeta,
-	opts Options) *backend.Set {
-	set := backend.NewSet(files, opts.cloudConfig(), opts.Seed)
-	set.Cloud.Prime(sample)
-	return set
 }
 
 // newFleet builds the route view the replay executes against, layering
@@ -237,41 +229,26 @@ func newFleet(set *backend.Set, opts Options) (fleet *backend.Fleet, finish func
 // (round-robin over aps).
 func RunODR(sample []workload.Request, files []*workload.FileMeta,
 	aps []*smartap.AP, opts Options) *ODRResult {
-	if len(aps) == 0 {
-		panic("replay: RunODR needs at least one AP")
-	}
-	if opts.CloudScale <= 0 {
-		opts.CloudScale = float64(len(files)) / cloud.FullScaleFiles
-	}
-	set := newBackends(sample, files, opts)
-	set.Instrument(opts.Metrics)
-	fleet, finish := newFleet(set, opts)
-	db := core.NewStaticDB(files)
+	return mustSlice(runODRWindowed(nil, workload.NewSliceSource(sample), 0, files, aps, opts))
+}
 
-	res := &ODRResult{Backends: set}
-	res.Tasks, res.Engine = runSharded(sample, aps, opts.Seed, opts.Shards,
-		newODRObs(opts.Metrics),
-		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
-			odrTask(task, wreq, req, db, fleet, opts)
-			return task.Success
-		})
-	finish()
-	recordPoolMetrics(opts.Metrics, set.Cloud)
-	if opts.Timeline != nil {
-		res.Timeline = BuildTimeline(res.Tasks, *opts.Timeline)
+// mustSlice unwraps a replay fed by a workload.SliceSource. A slice
+// source cannot fail or skip an index, so an error here is an engine bug.
+func mustSlice[R any](res R, err error) R {
+	if err != nil {
+		panic("replay: engine failed on a slice source: " + err.Error())
 	}
 	return res
 }
 
 // RunODRStream replays a request stream through the ODR decision
 // procedure without ever holding the request slice: the engine's reader
-// primes the cloud request by request (backend.Cloud.Observe) as it fans
-// out to the shards. Because observation happens in global-index order
-// before each request is dispatched, every Probe sees exactly the cache
-// visibility a full up-front Prime would have produced, and the result is
-// byte-identical to RunODR over the collected slice for the same options.
-// Only the task records — an order of magnitude smaller than requests
-// with their backing populations — are materialized.
+// observes each request in the cloud (backend.Cloud.ObserveAt) in
+// global-index order before dispatching it, so every Probe sees the cache
+// visibility of the requests before it, and the result is byte-identical
+// to RunODR over the collected slice for the same options. Only the task
+// records — an order of magnitude smaller than requests with their
+// backing populations — are materialized.
 func RunODRStream(src workload.RequestSource, files []*workload.FileMeta,
 	aps []*smartap.AP, opts Options) (*ODRResult, error) {
 	return runODRWindowed(nil, src, 0, files, aps, opts)
@@ -310,12 +287,12 @@ func RunODRWindow(prefix, window workload.RequestSource, base int,
 	return runODRWindowed(prefix, window, base, files, aps, opts)
 }
 
-// runODRWindowed is the shared body of RunODRStream (no prefix, base 0)
-// and RunODRWindow.
+// runODRWindowed is the shared body of RunODR and RunODRStream (no
+// prefix, base 0) and RunODRWindow.
 func runODRWindowed(prefix, window workload.RequestSource, base int,
 	files []*workload.FileMeta, aps []*smartap.AP, opts Options) (*ODRResult, error) {
 	if len(aps) == 0 {
-		panic("replay: RunODRStream needs at least one AP")
+		panic("replay: the ODR replay needs at least one AP")
 	}
 	if opts.CloudScale <= 0 {
 		opts.CloudScale = float64(len(files)) / cloud.FullScaleFiles
@@ -680,52 +657,61 @@ func HybridBaseline(sample []workload.Request, files []*workload.FileMeta,
 	if len(aps) == 0 {
 		panic("replay: HybridBaseline needs at least one AP")
 	}
-	set := newBackends(sample, files,
-		Options{Seed: seed, CloudScale: float64(len(files)) / cloud.FullScaleFiles})
-	res := &ODRResult{Backends: set}
-	res.Tasks, res.Engine = runSharded(sample, aps, seed, 0, nil,
-		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
-			*task = ODRTask{Request: wreq}
-			if !set.Cloud.Probe(req) {
-				pre := set.Cloud.PreDownload(req)
-				task.PreDelay = pre.Delay
-				if !pre.OK {
-					task.Cause = pre.Cause
-					return false
-				}
+	return runBaseline(sample, files, aps, seed, func(set *backend.Set, req *backend.Request, task *ODRTask) bool {
+		if !set.Cloud.Probe(req) {
+			pre := set.Cloud.PreDownload(req)
+			task.PreDelay = pre.Delay
+			if !pre.OK {
+				task.Cause = pre.Cause
+				return false
 			}
-			// The AP then pulls from the cloud, always.
-			waited := task.PreDelay
-			cloudThenAP(task, set.CloudThenAP, req)
-			task.PreDelay += waited
-			return true
-		})
-	return res
+		}
+		// The AP then pulls from the cloud, always.
+		waited := task.PreDelay
+		cloudThenAP(task, set.CloudThenAP, req)
+		task.PreDelay += waited
+		return true
+	})
 }
 
 // CloudOnlyBaseline replays the sample forcing every task through the
 // cloud (the pure cloud-based approach), returning the byte ledger and the
 // impeded ratio for Figure 16's baseline bars.
 func CloudOnlyBaseline(sample []workload.Request, files []*workload.FileMeta, seed uint64) *ODRResult {
-	set := newBackends(sample, files,
-		Options{Seed: seed, CloudScale: float64(len(files)) / cloud.FullScaleFiles})
+	return runBaseline(sample, files, nil, seed, func(set *backend.Set, req *backend.Request, task *ODRTask) bool {
+		if !set.Cloud.Probe(req) {
+			pre := set.Cloud.PreDownload(req)
+			task.PreDelay = pre.Delay
+			if !pre.OK {
+				task.Cause = pre.Cause
+				return false
+			}
+		}
+		f := set.Cloud.Fetch(req)
+		task.Success = true
+		task.PerceivedRate = f.Rate
+		task.CloudBytes = float64(f.CloudBytes)
+		return true
+	})
+}
+
+// runBaseline replays sample against a fresh, uninstrumented backend set
+// at the default cloud scale, observing each request in the cloud as the
+// engine dispatches it. exec fills the task, which starts as just its
+// request.
+func runBaseline(sample []workload.Request, files []*workload.FileMeta,
+	aps []*smartap.AP, seed uint64,
+	exec func(set *backend.Set, req *backend.Request, task *ODRTask) bool) *ODRResult {
+	opts := Options{Seed: seed, CloudScale: float64(len(files)) / cloud.FullScaleFiles}
+	set := backend.NewSet(files, opts.cloudConfig(), seed)
 	res := &ODRResult{Backends: set}
-	res.Tasks, res.Engine = runSharded(sample, nil, seed, 0, nil,
+	var err error
+	res.Tasks, res.Engine, err = runShardedStream(workload.NewSliceSource(sample), aps,
+		seed, 0, 0, StreamTuning{}, nil,
+		func(i int, wreq workload.Request) { set.Cloud.ObserveAt(i, wreq.File, wreq.Time) },
 		func(i int, wreq workload.Request, req *backend.Request, task *ODRTask) bool {
 			*task = ODRTask{Request: wreq}
-			if !set.Cloud.Probe(req) {
-				pre := set.Cloud.PreDownload(req)
-				task.PreDelay = pre.Delay
-				if !pre.OK {
-					task.Cause = pre.Cause
-					return false
-				}
-			}
-			f := set.Cloud.Fetch(req)
-			task.Success = true
-			task.PerceivedRate = f.Rate
-			task.CloudBytes = float64(f.CloudBytes)
-			return true
+			return exec(set, req, task)
 		})
-	return res
+	return mustSlice(res, err)
 }

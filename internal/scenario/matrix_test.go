@@ -107,7 +107,7 @@ func TestRunMatrix(t *testing.T) {
 	}
 
 	// Parallel execution is result-invariant: same cells, same
-	// registries, same merged totals.
+	// registries, same merged totals (transport gauges aside).
 	m.Parallel = 4
 	par, err := RunMatrix(m)
 	if err != nil {
@@ -115,11 +115,13 @@ func TestRunMatrix(t *testing.T) {
 	}
 	for i := range res.Cells {
 		sameRun(t, "parallel "+res.Cells[i].Spec.Label(), res.Cells[i], par.Cells[i])
-		if !reflect.DeepEqual(par.Cells[i].Registry.Snapshot(), res.Cells[i].Registry.Snapshot()) {
+		if !reflect.DeepEqual(replay.DeterministicSnapshot(par.Cells[i].Registry),
+			replay.DeterministicSnapshot(res.Cells[i].Registry)) {
 			t.Fatalf("parallel cell %s registry diverged", res.Cells[i].Spec.Label())
 		}
 	}
-	if !reflect.DeepEqual(par.Merged.Snapshot(), merged) {
+	if !reflect.DeepEqual(replay.DeterministicSnapshot(par.Merged),
+		replay.DeterministicSnapshot(res.Merged)) {
 		t.Fatal("parallel merged registry diverged")
 	}
 }

@@ -94,28 +94,26 @@ func TestRunExecutesSpec(t *testing.T) {
 	sameRun(t, "shards=8", res, res8)
 }
 
-func TestRunStreamMatchesSlice(t *testing.T) {
-	slice, err := Run(smallSpec())
+// TestRunChunkInvariance: the engine's batch size is a transport knob —
+// a spec at Chunk 7 replays exactly like the default chunk.
+func TestRunChunkInvariance(t *testing.T) {
+	ref, err := Run(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := smallSpec()
-	streamed.Stream = true
-	streamed.Chunk = 7
-	stream, err := Run(streamed)
+	chunked := smallSpec()
+	chunked.Chunk = 7
+	res, err := Run(chunked)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRun(t, "stream", slice, stream)
+	sameRun(t, "chunk=7", ref, res)
 
-	// Registries match too, minus the transport-shape gauges the stream
-	// path alone records (exempt from the determinism contract).
-	want := slice.Registry.Snapshot()
-	got := stream.Registry.Snapshot()
-	delete(got.Gauges, replay.MetricInflightPeak)
-	delete(got.Gauges, replay.MetricStreamChunk)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("stream registry diverged from the slice path")
+	// Registries match too, minus the transport gauges (exempt from the
+	// determinism contract).
+	if !reflect.DeepEqual(replay.DeterministicSnapshot(res.Registry),
+		replay.DeterministicSnapshot(ref.Registry)) {
+		t.Fatal("chunk=7 registry diverged from the default chunk")
 	}
 }
 

@@ -219,7 +219,7 @@ func TestSpecLabel(t *testing.T) {
 
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := Spec{Name: "x", Profile: "holiday", Days: 14, Files: 5000, Sample: 300,
-		Seed: 4, Shards: 2, Stream: true, Chunk: 7, GenWorkers: 3, Faults: "0.1",
+		Seed: 4, Shards: 2, Chunk: 7, GenWorkers: 3, Faults: "0.1",
 		Naive: true, CachePolicy: "lfu", PoolDivisor: 8, WindowHours: 12, Workers: 3}
 	data, err := json.Marshal(s)
 	if err != nil {

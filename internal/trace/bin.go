@@ -191,8 +191,8 @@ type binSource struct {
 }
 
 // sizedBinSource is a binSource whose record count is known from the
-// trailer; it implements workload.Sizer so trace-fed replays regain
-// pre-sized shard buffers.
+// trailer; it implements workload.Sizer so trace-fed replays size their
+// task records up front.
 type sizedBinSource struct {
 	binSource
 	n int

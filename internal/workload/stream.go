@@ -25,12 +25,13 @@ type RequestSource interface {
 
 // Sizer is an optional RequestSource extension for sources that know
 // their total request count up front (an in-memory slice, the streaming
-// generator's permutation index). Consumers use the count purely as a
-// pre-sizing hint — the replay engine pre-sizes its per-shard result
-// buffers from TotalRequests()/shards — so a source that cannot know its
-// length (a trace file being read) simply does not implement Sizer and
-// consumers fall back to amortized growth. Implementations must return
-// the exact number of requests Next will yield.
+// generator's permutation index, a seekable bin trace). Consumers use the
+// count purely as a sizing hint — the replay engine allocates its task
+// records in one page of TotalRequests() and caps its shard count at it —
+// so a source that cannot know its length (a text trace being read)
+// simply does not implement Sizer and consumers fall back to amortized
+// growth. Implementations must return the exact number of requests Next
+// will yield.
 type Sizer interface {
 	TotalRequests() int
 }

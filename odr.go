@@ -203,7 +203,7 @@ type (
 	// ReplayOptions tunes an ODR replay (including ablations and the
 	// engine shard count).
 	ReplayOptions = replay.Options
-	// StreamTuning tunes the streaming engine's batch transport (chunk
+	// StreamTuning tunes the replay engine's batch transport (chunk
 	// size, pooling). Tuning never changes replay results.
 	StreamTuning = replay.StreamTuning
 )
@@ -219,8 +219,8 @@ func RunODR(sample []Request, files []*FileMeta, aps []*AP, opts ReplayOptions) 
 }
 
 // RunAPBenchmarkStream is RunAPBenchmark over a request stream,
-// byte-identical to the slice path for the same seed, shard count, and
-// any transport tuning.
+// byte-identical to it for the same seed, any shard count, and any
+// transport tuning.
 func RunAPBenchmarkStream(src RequestSource, aps []*AP, seed uint64, shards int,
 	tune StreamTuning) (*APBench, error) {
 	return replay.RunAPBenchmarkStream(src, aps, seed, shards, tune)
