@@ -13,14 +13,15 @@ check: fmt vet build race determinism cover allocgate
 # ci is what .github/workflows/ci.yml runs: the full gate plus the
 # benchmark diffs against the tracked baselines, a tiny scenario-matrix
 # smoke, the live-server ingest smoke, short fuzz runs over the trace
-# decoders, the paper-scale pipeline smoke, and the multi-process
-# coordinator smoke. The workflow fans these out as parallel jobs; this
+# and partial decoders, the paper-scale pipeline smoke, and the
+# multi-process coordinator smoke. The workflow fans these out as parallel jobs; this
 # aggregate target is the one-command local equivalent.
 ci: check bench-compare matrix-smoke ingest-smoke fuzz-smoke paperscale-smoke \
 	distributed-smoke
 
-# fuzz-smoke runs each trace-decoder fuzzer briefly from its committed
-# seed corpus: long enough to shake out decode panics on mutated traces,
+# fuzz-smoke runs each trace-decoder fuzzer and the ODRP partial-decode
+# fuzzer briefly from its committed seed corpus: long enough to shake out
+# decode panics on mutated traces and partials,
 # short enough for CI. The full corpora stay in testdata/fuzz, so every
 # past counterexample replays on plain `go test` as well.
 FUZZ_TIME ?= 5s
@@ -28,6 +29,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCSVDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzJSONLDecode -fuzztime $(FUZZ_TIME) ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzBinDecode -fuzztime $(FUZZ_TIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzPartialDecode -fuzztime $(FUZZ_TIME) ./internal/distrib
 
 # paperscale-smoke runs EXP-W at ~200k tasks: parallel generation must
 # hash byte-identical to sequential, the bin trace file must hash back

@@ -12,14 +12,11 @@ package odr
 // micro-benchmarks follow at the bottom.
 
 import (
-	"fmt"
 	"testing"
 
 	"odr/internal/cloud"
 	"odr/internal/core"
-	"odr/internal/dist"
 	"odr/internal/experiments"
-	"odr/internal/netsim"
 	"odr/internal/sim"
 	"odr/internal/stats"
 	"odr/internal/storage"
@@ -202,26 +199,6 @@ func BenchmarkLRUPool(b *testing.B) {
 	}
 }
 
-// BenchmarkNetsimReshare measures max-min fair rate recomputation with
-// many concurrent flows.
-func BenchmarkNetsimReshare(b *testing.B) {
-	eng := sim.New()
-	n := netsim.New(eng)
-	links := make([]*netsim.Link, 16)
-	for i := range links {
-		links[i] = n.AddLink(fmt.Sprintf("l%d", i), 1e9)
-	}
-	g := dist.NewRNG(1)
-	for i := 0; i < 200; i++ {
-		path := []*netsim.Link{links[g.Intn(16)], links[g.Intn(16)]}
-		n.StartFlow(1e12, 0, path, nil)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Reshare()
-	}
-}
-
 // BenchmarkZipfFitting measures the §3 popularity fitters.
 func BenchmarkZipfFitting(b *testing.B) {
 	tr, err := workload.Generate(workload.DefaultConfig(20000, 5))
@@ -276,21 +253,4 @@ func BenchmarkExpLEDBAT(b *testing.B) {
 // slice pipeline with zero diff.
 func BenchmarkExpStreamEquivalence(b *testing.B) {
 	runExp(b, "S1", "max_abs_diff", "tasks_diff")
-}
-
-// BenchmarkTopologyPath measures path construction over the China
-// topology.
-func BenchmarkTopologyPath(b *testing.B) {
-	eng := sim.New()
-	n := netsim.New(eng)
-	topo := netsim.NewChinaTopology(n, 1e12, 1e8)
-	users := make([]*workload.User, 64)
-	for i := range users {
-		users[i] = &workload.User{ID: i, ISP: workload.ISP(i % workload.NumISPs), AccessBW: 5e5}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := users[i%len(users)]
-		_ = topo.Path(workload.ISPTelecom, u)
-	}
 }

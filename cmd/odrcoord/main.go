@@ -33,23 +33,29 @@
 //
 // Worker mode (normally only invoked by the coordinator itself):
 //
+//	odrcoord -worker < REQUEST.json
 //	odrcoord -worker -trace FILE -window OFF,LIM -out FILE [spec flags]
 //
-// replays records [OFF, OFF+LIM) and writes the partial-result file,
-// emitting "hb N" heartbeat lines on stdout for the supervisor.
+// replays one window and writes its partial-result file, emitting
+// "hb N" heartbeat lines on stdout for the supervisor. The coordinator
+// uses the first form: one distrib.WorkerRequest as JSON on stdin (trace
+// path, record window, replay spec, partial-result path, crash hook), so
+// every spec field reaches the worker exactly. The second form builds the
+// request from flags, for running a worker by hand.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
-	"strconv"
 	"time"
 
 	"odr/internal/distrib"
@@ -59,7 +65,7 @@ import (
 
 func main() {
 	var (
-		worker     = flag.Bool("worker", false, "run as a window worker (internal; spawned by the coordinator)")
+		worker     = flag.Bool("worker", false, "run as a window worker (internal; spawned by the coordinator with its request as JSON on stdin)")
 		tracePath  = flag.String("trace", "", "bin trace file to replay")
 		checkpoint = flag.String("checkpoint", "", "checkpoint directory (manifest + partial results)")
 		workers    = flag.Int("workers", 0, "concurrent worker processes (0 = 1, or the -spec file's workers)")
@@ -76,18 +82,21 @@ func main() {
 		haltAfter  = flag.Int("halt-after", 0, "stop with exit code 3 after N windows complete this run (kill-mid-run test hook)")
 		crashWin   = flag.Int("crash-window", 0, "force window N (1-based) to crash mid-replay on its first attempt (test hook)")
 
-		// Worker-mode flags.
-		windowSpec = flag.String("window", "", "worker: replay records OFF,LIM of the trace")
-		outPath    = flag.String("out", "", "worker: partial-result output file")
-		crashAfter = flag.Int64("crash-after", 0, "worker: fail after processing N records (test hook)")
-		wmetrics   = flag.Bool("worker-metrics", false, "worker: record metrics and ship the snapshot in the partial")
+		// By-hand worker flags; without -window the request is read from stdin.
+		windowSpec = flag.String("window", "", "worker: replay records OFF,LIM of -trace instead of reading the request on stdin")
+		outPath    = flag.String("out", "", "worker: partial-result output file (with -window)")
+		wmetrics   = flag.Bool("worker-metrics", false, "worker: record metrics and ship the snapshot in the partial (with -window)")
 	)
 	common := scenario.RegisterCommon(flag.CommandLine)
 	flag.Parse()
 
 	if *worker {
-		if err := runWorker(*tracePath, *windowSpec, *outPath, *seed, *shards, *chunk,
-			*crashAfter, *wmetrics, common); err != nil {
+		req, err := workerRequest(os.Stdin, *tracePath, *windowSpec, *outPath,
+			workerSpec(*seed, *shards, *chunk, common, *wmetrics))
+		if err == nil {
+			err = runWorker(req, os.Stdout)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "odrcoord worker:", err)
 			os.Exit(1)
 		}
@@ -105,8 +114,8 @@ func main() {
 	}
 }
 
-// workerSpec assembles the WorkerSpec shared by both modes from the
-// command line, or from a scenario file when one is named.
+// workerSpec assembles the WorkerSpec both modes build from the command
+// line.
 func workerSpec(seed uint64, shards, chunk int, common *scenario.Common, metrics bool) distrib.WorkerSpec {
 	return distrib.WorkerSpec{
 		Seed:        seed,
@@ -253,77 +262,64 @@ func runCoordinator(tracePath, checkpoint string, workers, windows int, seed uin
 	return nil
 }
 
-// runWorker is -worker mode: replay one window, write the partial, and
-// emit throttled "hb N" heartbeat lines on stdout for the supervisor.
-func runWorker(tracePath, windowSpec, outPath string, seed uint64, shards, chunk int,
-	crashAfter int64, metrics bool, common *scenario.Common) error {
-	if err := common.Validate(); err != nil {
-		return err
+// workerRequest reads a worker's assignment: one WorkerRequest as JSON
+// on in, or, when window (OFF,LIM) is set, the request the by-hand flags
+// describe. Unknown JSON fields are rejected, so a coordinator and worker
+// that disagree on the request shape fail loudly instead of replaying
+// under a silently different spec.
+func workerRequest(in io.Reader, tracePath, window, outPath string, spec distrib.WorkerSpec) (distrib.WorkerRequest, error) {
+	var req distrib.WorkerRequest
+	if window != "" {
+		req = distrib.WorkerRequest{TracePath: tracePath, Spec: spec, PartialPath: outPath}
+		if _, err := fmt.Sscanf(window, "%d,%d", &req.Window.Offset, &req.Window.Limit); err != nil {
+			return req, fmt.Errorf("bad -window %q (want OFF,LIM): %v", window, err)
+		}
+		return req, nil
 	}
-	if tracePath == "" || windowSpec == "" || outPath == "" {
-		return errors.New("worker mode needs -trace, -window OFF,LIM, and -out")
+	dec := json.NewDecoder(in)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("worker request on stdin: %w", err)
 	}
-	var off, lim int64
-	if _, err := fmt.Sscanf(windowSpec, "%d,%d", &off, &lim); err != nil {
-		return fmt.Errorf("bad -window %q (want OFF,LIM): %v", windowSpec, err)
-	}
-	req := distrib.WorkerRequest{
-		TracePath:   tracePath,
-		Window:      distrib.Window{Offset: off, Limit: lim},
-		Spec:        workerSpec(seed, shards, chunk, common, metrics),
-		PartialPath: outPath,
-		CrashAfter:  crashAfter,
-	}
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
+	return req, nil
+}
+
+// runWorker is -worker mode: replay the request's window, write the
+// partial, and emit throttled "hb N" heartbeat lines on out for the
+// supervisor.
+func runWorker(req distrib.WorkerRequest, out io.Writer) error {
+	bw := bufio.NewWriter(out)
+	defer bw.Flush()
 	var last time.Time
 	beat := func(n int64) {
 		if now := time.Now(); now.Sub(last) >= 200*time.Millisecond {
 			last = now
-			fmt.Fprintf(out, "hb %d\n", n)
-			out.Flush()
+			fmt.Fprintf(bw, "hb %d\n", n)
+			bw.Flush()
 		}
 	}
 	if err := distrib.RunWorker(context.Background(), req, beat); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "done %d,%d\n", off, lim)
+	fmt.Fprintf(bw, "done %d,%d\n", req.Window.Offset, req.Window.Limit)
 	return nil
 }
 
 // execRunner runs each window as a subprocess of this same binary in
-// -worker mode, forwarding its "hb N" stdout lines as heartbeats. A
-// canceled context kills the process.
+// -worker mode, sending the request as JSON on its stdin and forwarding
+// its "hb N" stdout lines as heartbeats. A canceled context kills the
+// process.
 type execRunner struct {
 	bin string
 }
 
 func (r execRunner) Run(ctx context.Context, req distrib.WorkerRequest, beat func(records int64)) error {
-	args := []string{
-		"-worker",
-		"-trace", req.TracePath,
-		"-window", fmt.Sprintf("%d,%d", req.Window.Offset, req.Window.Limit),
-		"-out", req.PartialPath,
-		"-seed", strconv.FormatUint(req.Spec.Seed, 10),
-		"-shards", strconv.Itoa(req.Spec.Shards),
-		"-chunk", strconv.Itoa(req.Spec.Chunk),
+	in, err := json.Marshal(req)
+	if err != nil {
+		return err
 	}
-	if req.Spec.CachePolicy != "" {
-		args = append(args, "-cache-policy", req.Spec.CachePolicy)
-	}
-	if req.Spec.PoolBytes != 0 {
-		args = append(args, "-pool-bytes", strconv.FormatInt(req.Spec.PoolBytes, 10))
-	}
-	if req.Spec.Faults != "" {
-		args = append(args, "-faults", req.Spec.Faults)
-	}
-	if req.Spec.Metrics {
-		args = append(args, "-worker-metrics")
-	}
-	if req.CrashAfter > 0 {
-		args = append(args, "-crash-after", strconv.FormatInt(req.CrashAfter, 10))
-	}
-	cmd := exec.CommandContext(ctx, r.bin, args...)
+	cmd := exec.CommandContext(ctx, r.bin, "-worker")
+	cmd.Stdin = bytes.NewReader(in)
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

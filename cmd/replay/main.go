@@ -8,12 +8,8 @@
 //	       [-tasks PATH] [-trace FILE] [-faults SPEC] [-naive]
 //	       [-cache-policy NAME] [-pool-bytes N]
 //	       [-metrics FORMAT] [-pprof ADDR]
-//	replay -trace FILE.bin -window OFF,LIM -shard-out FILE [spec flags]
 //
-// The second form is the distributed worker mode: it replays only the
-// record window [OFF, OFF+LIM) of a bin trace and writes a partial-result
-// file for a coordinator (cmd/odrcoord) to merge; faults replay naively
-// in this mode.
+// Multi-process replay of a bin trace is cmd/odrcoord's job.
 //
 // With -cache-policy the ODR replay's cloud pool evolves under the named
 // eviction policy (lru, lfu, band, prewarm) instead of the default static
@@ -56,7 +52,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -65,7 +60,6 @@ import (
 	"time"
 
 	"odr/internal/cloud"
-	"odr/internal/distrib"
 	"odr/internal/obs"
 	"odr/internal/replay"
 	"odr/internal/scenario"
@@ -84,71 +78,14 @@ func main() {
 	tracePath := flag.String("trace", "", "replay a recorded workload trace (csv/jsonl/bin, auto-detected) instead of generating one")
 	chunk := flag.Int("chunk", 0, "replay engine batch size in requests (0 = default; results are identical for any value)")
 	naive := flag.Bool("naive", false, "with -faults, disable the failure-aware routing policy (faults fail tasks outright)")
-	window := flag.String("window", "",
-		"distributed worker mode: replay only records OFF,LIM of the -trace bin file (requires -shard-out)")
-	shardOut := flag.String("shard-out", "",
-		"distributed worker mode: write the window's partial-result file here")
 	common := scenario.RegisterCommon(flag.CommandLine)
 	flag.Parse()
 
-	if *window != "" || *shardOut != "" {
-		if err := runWindowWorker(*window, *shardOut, *tracePath, *seed, *shards, *chunk, common); err != nil {
-			fmt.Fprintln(os.Stderr, "replay:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*files, *sampleN, *seed, *shards, *chunk, *tasks, *tracePath,
 		*naive, common); err != nil {
 		fmt.Fprintln(os.Stderr, "replay:", err)
 		os.Exit(1)
 	}
-}
-
-// runWindowWorker is the distributed worker mode: replay one window of a
-// bin trace under the shared flag surface and write the partial-result
-// file a coordinator merges (see internal/distrib and cmd/odrcoord).
-// Heartbeats print as throttled "hb N" lines for a supervising parent.
-// Faults, when configured, always replay naively here — the resilience
-// layer's per-user circuit state cannot be reproduced window by window.
-func runWindowWorker(windowSpec, outPath, tracePath string, seed uint64,
-	shards, chunk int, common *scenario.Common) error {
-	if err := common.Validate(); err != nil {
-		return err
-	}
-	if windowSpec == "" || outPath == "" || tracePath == "" {
-		return fmt.Errorf("worker mode needs -trace, -window OFF,LIM, and -shard-out")
-	}
-	var off, lim int64
-	if _, err := fmt.Sscanf(windowSpec, "%d,%d", &off, &lim); err != nil {
-		return fmt.Errorf("bad -window %q (want OFF,LIM): %v", windowSpec, err)
-	}
-	req := distrib.WorkerRequest{
-		TracePath: tracePath,
-		Window:    distrib.Window{Offset: off, Limit: lim},
-		Spec: distrib.WorkerSpec{
-			Seed:        seed,
-			Shards:      shards,
-			Chunk:       chunk,
-			CachePolicy: common.CachePolicy,
-			PoolBytes:   common.PoolBytes,
-			Faults:      common.Faults,
-			Metrics:     common.Metrics != "",
-		},
-		PartialPath: outPath,
-	}
-	var last time.Time
-	beat := func(n int64) {
-		if now := time.Now(); now.Sub(last) >= 200*time.Millisecond {
-			last = now
-			fmt.Printf("hb %d\n", n)
-		}
-	}
-	if err := distrib.RunWorker(context.Background(), req, beat); err != nil {
-		return err
-	}
-	fmt.Printf("worker done: window [%d, %d) -> %s\n", off, off+lim, outPath)
-	return nil
 }
 
 // odrOptions compiles the command's flags into replay options through the

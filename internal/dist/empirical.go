@@ -124,40 +124,3 @@ func (e *Empirical) Min() float64 { return e.pts[0].V }
 
 // Max returns the largest representable value.
 func (e *Empirical) Max() float64 { return e.pts[len(e.pts)-1].V }
-
-// Mixture samples from one of several component distributions chosen by
-// weight. Components may be any Sampler.
-type Mixture struct {
-	weights    []float64
-	components []Sampler
-}
-
-// Sampler is anything that can draw a float64 given an RNG. All continuous
-// distributions in this package satisfy it via adapter funcs.
-type Sampler interface {
-	Sample(g *RNG) float64
-}
-
-// SamplerFunc adapts a plain function to the Sampler interface.
-type SamplerFunc func(g *RNG) float64
-
-// Sample implements Sampler.
-func (f SamplerFunc) Sample(g *RNG) float64 { return f(g) }
-
-// NewMixture builds a mixture of components with the given non-negative
-// weights (need not sum to 1). It panics on length mismatch or empty input.
-func NewMixture(weights []float64, components []Sampler) *Mixture {
-	if len(weights) == 0 || len(weights) != len(components) {
-		panic("dist: NewMixture requires equal-length non-empty weights and components")
-	}
-	w := make([]float64, len(weights))
-	copy(w, weights)
-	c := make([]Sampler, len(components))
-	copy(c, components)
-	return &Mixture{weights: w, components: c}
-}
-
-// Sample draws from a weight-chosen component.
-func (m *Mixture) Sample(g *RNG) float64 {
-	return m.components[g.Choice(m.weights)].Sample(g)
-}

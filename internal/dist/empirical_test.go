@@ -117,32 +117,6 @@ func TestEmpiricalMean(t *testing.T) {
 	}
 }
 
-func TestMixtureProportions(t *testing.T) {
-	g := NewRNG(15)
-	small := SamplerFunc(func(g *RNG) float64 { return 1 })
-	big := SamplerFunc(func(g *RNG) float64 { return 100 })
-	m := NewMixture([]float64{0.25, 0.75}, []Sampler{small, big})
-	n, smallCount := 100000, 0
-	for i := 0; i < n; i++ {
-		if m.Sample(g) == 1 {
-			smallCount++
-		}
-	}
-	got := float64(smallCount) / float64(n)
-	if math.Abs(got-0.25) > 0.01 {
-		t.Fatalf("small component frequency %g, want ~0.25", got)
-	}
-}
-
-func TestNewMixturePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewMixture with mismatched lengths did not panic")
-		}
-	}()
-	NewMixture([]float64{1}, nil)
-}
-
 // Property: for arbitrary valid monotone knot sets, Quantile is monotone
 // non-decreasing in p.
 func TestEmpiricalQuantileMonotoneProperty(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package dist provides deterministic random-number generation and the
 // statistical distributions used to synthesize offline-downloading
 // workloads: bounded Zipf and stretched-exponential popularity models,
-// lognormal and log-uniform file-size components, Pareto tails, and
-// empirical mixtures.
+// lognormal and log-uniform file-size components, bounded Pareto tails,
+// and empirical distributions.
 //
 // All samplers are driven by an explicit *RNG so that every experiment in
 // the repository is reproducible from a single seed. The package never
@@ -174,16 +174,6 @@ func (g *RNG) LogUniform(lo, hi float64) float64 {
 	return math.Exp(g.Uniform(math.Log(lo), math.Log(hi)))
 }
 
-// Pareto returns a sample from a Pareto distribution with scale xm > 0 and
-// shape alpha > 0. The support is [xm, +inf).
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("dist: Pareto requires positive scale and shape")
-	}
-	u := 1 - g.Float64() // in (0, 1]
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // BoundedPareto returns a Pareto(xm, alpha) sample truncated to [xm, cap]
 // via inverse-CDF sampling (not rejection), so it is O(1).
 func (g *RNG) BoundedPareto(xm, alpha, capV float64) float64 {
@@ -210,28 +200,6 @@ func (g *RNG) Exponential(mean float64) float64 {
 		panic("dist: Exponential requires positive mean")
 	}
 	return g.ExpFloat64() * mean
-}
-
-// Weibull returns a Weibull sample with scale lambda and shape k.
-func (g *RNG) Weibull(lambda, k float64) float64 {
-	if lambda <= 0 || k <= 0 {
-		panic("dist: Weibull requires positive scale and shape")
-	}
-	u := 1 - g.Float64()
-	return lambda * math.Pow(-math.Log(u), 1/k)
-}
-
-// Geometric returns the number of Bernoulli(p) failures before the first
-// success, in {0, 1, 2, ...}. It panics unless 0 < p <= 1.
-func (g *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("dist: Geometric requires 0 < p <= 1")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := 1 - g.Float64()
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
 }
 
 // Poisson returns a Poisson sample with the given mean, using Knuth's

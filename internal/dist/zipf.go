@@ -9,7 +9,6 @@ import "math"
 // envelope.
 type Zipf struct {
 	n   int
-	s   float64
 	cum []float64 // cumulative probabilities, len n
 }
 
@@ -22,7 +21,7 @@ func NewZipf(n int, s float64) *Zipf {
 	if s <= 0 {
 		panic("dist: NewZipf requires s > 0")
 	}
-	z := &Zipf{n: n, s: s, cum: make([]float64, n)}
+	z := &Zipf{n: n, cum: make([]float64, n)}
 	var total float64
 	for i := 1; i <= n; i++ {
 		total += math.Pow(float64(i), -s)
@@ -36,9 +35,6 @@ func NewZipf(n int, s float64) *Zipf {
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return z.n }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
 
 // PMF returns the probability of rank x (1-based). Ranks outside 1..N have
 // probability 0.

@@ -16,10 +16,11 @@ import (
 
 // Runner executes one worker assignment. The coordinator is agnostic to
 // where the work happens: InProcess runs the window on a goroutine (tests,
-// EXP-D), cmd/odrcoord's exec runner re-execs the binary per window and
-// parses heartbeats off its stdout. beat must be called with the worker's
-// running record count; a runner whose beats stop for longer than the
-// heartbeat timeout is canceled and the window retried.
+// EXP-D), cmd/odrcoord's exec runner re-execs the binary per window,
+// writes the WorkerRequest to its stdin as JSON, and parses heartbeats
+// off its stdout. beat must be called with the worker's running record
+// count; a runner whose beats stop for longer than the heartbeat timeout
+// is canceled and the window retried.
 type Runner interface {
 	Run(ctx context.Context, req WorkerRequest, beat func(records int64)) error
 }

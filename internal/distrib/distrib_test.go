@@ -287,6 +287,15 @@ func TestPartialRoundTrip(t *testing.T) {
 	corrupt("flipped byte", func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }, "checksum")
 	corrupt("truncated", func(b []byte) []byte { return b[:len(b)-9] }, "checksum")
 	corrupt("too short", func(b []byte) []byte { return b[:10] }, "too short")
+	// CRC-valid frames whose header miscounts the 40 record bytes present.
+	// 329406144173384851 tasks × 56 bytes wraps int64 to exactly 40, which
+	// once passed the length check and panicked in makeslice.
+	for name, tasks := range map[string]string{
+		"tasks overflow": "329406144173384851", "tasks negative": "-1", "tasks beyond records": "2",
+	} {
+		hdr := `{"tasks":` + tasks + `}`
+		corrupt(name, func([]byte) []byte { return framePartial(hdr, make([]byte, 40)) }, "tasks")
+	}
 }
 
 func TestMergePartialsEmpty(t *testing.T) {

@@ -3,8 +3,8 @@ package distrib
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 )
 
 // Window completion states in the checkpoint manifest.
@@ -149,10 +149,9 @@ func LoadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// SaveManifest writes the manifest atomically and durably: temp file in
-// the same directory, fsync, rename over path, directory fsync. A crash
-// at any point leaves either the previous checkpoint or the new one,
-// never a torn file.
+// SaveManifest writes the manifest atomically and durably (writeAtomic):
+// a crash at any point leaves either the previous checkpoint or the new
+// one, never a torn file.
 func SaveManifest(path string, m *Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -161,25 +160,8 @@ func SaveManifest(path string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
+	return writeAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(raw, '\n'))
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(raw, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	})
 }

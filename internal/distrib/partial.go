@@ -92,17 +92,24 @@ func intern(table *[]string, idx map[string]int, s string) (int, error) {
 	return i, nil
 }
 
-// WritePartial writes p to path atomically: a temp file in the same
-// directory, synced, then renamed over path. A crashed worker therefore
-// never leaves a half-written partial under the final name.
+// WritePartial writes p to path atomically (see writeAtomic), so a
+// crashed worker never leaves a half-written partial under the final name.
 func WritePartial(path string, p *Partial) error {
+	return writeAtomic(path, func(w io.Writer) error { return encodePartial(w, p) })
+}
+
+// writeAtomic writes a file durably: write into a temp file in the same
+// directory, fsync it, rename it over path, fsync the directory. A crash
+// at any point leaves either the previous file or the complete new one
+// under path, never a torn one.
+func writeAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := encodePartial(tmp, p); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -240,31 +247,44 @@ func ReadPartial(path string) (*Partial, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodePartial(path, raw)
+}
+
+// decodePartial validates and decodes a partial file's bytes; name labels
+// the errors. Every rejection names the offending field or region; no
+// input panics, and the task count is bounded by the record bytes present.
+func decodePartial(name string, raw []byte) (*Partial, error) {
 	if len(raw) < 8+4+4 {
-		return nil, fmt.Errorf("distrib: %s: partial file is %d bytes, too short", path, len(raw))
+		return nil, fmt.Errorf("distrib: %s: partial file is %d bytes, too short", name, len(raw))
 	}
 	if string(raw[:4]) != partialMagic {
-		return nil, fmt.Errorf("distrib: %s: bad partial magic %q", path, raw[:4])
+		return nil, fmt.Errorf("distrib: %s: bad partial magic %q", name, raw[:4])
 	}
 	if v := binary.LittleEndian.Uint16(raw[4:6]); v != partialVersion {
-		return nil, fmt.Errorf("distrib: %s: unsupported partial version %d (want %d)", path, v, partialVersion)
+		return nil, fmt.Errorf("distrib: %s: unsupported partial version %d (want %d)", name, v, partialVersion)
 	}
 	body, tail := raw[8:len(raw)-4], raw[len(raw)-4:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("distrib: %s: partial checksum mismatch (corrupt or truncated)", path)
+		return nil, fmt.Errorf("distrib: %s: partial checksum mismatch (corrupt or truncated)", name)
 	}
 	hdrLen := int(binary.LittleEndian.Uint32(body[:4]))
 	if hdrLen < 0 || 4+hdrLen > len(body) {
-		return nil, fmt.Errorf("distrib: %s: partial header length %d overruns file", path, hdrLen)
+		return nil, fmt.Errorf("distrib: %s: partial header length %d overruns file", name, hdrLen)
 	}
 	var hdr partialHeader
 	if err := json.Unmarshal(body[4:4+hdrLen], &hdr); err != nil {
-		return nil, fmt.Errorf("distrib: %s: partial header: %w", path, err)
+		return nil, fmt.Errorf("distrib: %s: partial header: %w", name, err)
 	}
 	recs := body[4+hdrLen:]
+	// Bound tasks by the record bytes before multiplying: a huge count
+	// would wrap tasks*taskRecordLen past the length check.
+	if hdr.Tasks < 0 || hdr.Tasks > int64(len(recs)/taskRecordLen) {
+		return nil, fmt.Errorf("distrib: %s: header field tasks = %d, but %d record bytes hold at most %d",
+			name, hdr.Tasks, len(recs), len(recs)/taskRecordLen)
+	}
 	if int64(len(recs)) != hdr.Tasks*taskRecordLen {
 		return nil, fmt.Errorf("distrib: %s: %d record bytes, want %d for %d tasks",
-			path, len(recs), hdr.Tasks*taskRecordLen, hdr.Tasks)
+			name, len(recs), hdr.Tasks*taskRecordLen, hdr.Tasks)
 	}
 
 	type fileKey struct {
@@ -278,7 +298,7 @@ func ReadPartial(path string) (*Partial, error) {
 		reason := int(binary.LittleEndian.Uint16(rec[2:4]))
 		cause := int(binary.LittleEndian.Uint16(rec[4:6]))
 		if reason >= len(hdr.Reasons) || cause >= len(hdr.Causes) {
-			return nil, fmt.Errorf("distrib: %s: task %d string index out of table", path, i)
+			return nil, fmt.Errorf("distrib: %s: task %d string index out of table", name, i)
 		}
 		key := fileKey{
 			size:   int64(binary.LittleEndian.Uint64(rec[40:48])),

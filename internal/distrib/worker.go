@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"odr/internal/obs"
@@ -14,7 +15,8 @@ import (
 )
 
 // WorkerRequest is one window assignment: which trace, which records,
-// under which spec, and where the partial result goes.
+// under which spec, and where the partial result goes. Its JSON form is
+// what a worker process reads on stdin (odrcoord -worker).
 type WorkerRequest struct {
 	// TracePath is the bin trace every worker reads (workers never
 	// receive trace data over a pipe — they seek into the shared file).
@@ -70,9 +72,21 @@ func (m *meter) tick() error {
 	return nil
 }
 
-// wrap returns src metered by m.
+// wrap returns src metered by m. The result implements workload.Sizer
+// exactly when src does, so a metered window still lets the engine size
+// its task page up front.
 func (m *meter) wrap(src workload.RequestSource) workload.RequestSource {
-	return &meteredSource{m: m, src: src}
+	ms := &meteredSource{m: m, src: src}
+	if sz, ok := src.(workload.Sizer); ok {
+		return sizedMeteredSource{ms, sz}
+	}
+	return ms
+}
+
+// sizedMeteredSource is a meteredSource over a workload.Sizer.
+type sizedMeteredSource struct {
+	*meteredSource
+	workload.Sizer
 }
 
 type meteredSource struct {
@@ -141,34 +155,22 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 	start := time.Now()
 
 	// Pass 1: full census. Only the populations survive this pass.
-	census := workload.NewCensus()
-	src, closer, err := trace.OpenWorkloadBinWindow(req.TracePath, 0, -1)
+	files, err := traceCensus(req.TracePath, m.wrap)
 	if err != nil {
 		return err
-	}
-	counted := m.wrap(census.Wrap(src))
-	for {
-		if _, _, ok := counted.Next(); !ok {
-			break
-		}
-	}
-	cerr := counted.Err()
-	closer.Close()
-	if cerr != nil {
-		return fmt.Errorf("distrib: census pass: %w", cerr)
 	}
 
 	// Passes 2+3: observation prefix, then the window replay.
 	var prefix workload.RequestSource
 	if win.Offset > 0 {
-		psrc, pcloser, err := trace.OpenWorkloadBinWindow(req.TracePath, 0, win.Offset)
+		psrc, pcloser, err := m.open(req.TracePath, Window{Limit: win.Offset})
 		if err != nil {
 			return err
 		}
 		defer pcloser.Close()
-		prefix = m.wrap(psrc)
+		prefix = psrc
 	}
-	wsrc, wcloser, err := trace.OpenWorkloadBinWindow(req.TracePath, win.Offset, win.Limit)
+	window, wcloser, err := m.open(req.TracePath, win)
 	if err != nil {
 		return err
 	}
@@ -182,8 +184,8 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 	if err != nil {
 		return err
 	}
-	res, err := replay.RunODRWindow(prefix, m.wrap(wsrc), int(win.Offset),
-		census.Files(), smartap.Benchmarked(), opts)
+	res, err := replay.RunODRWindow(prefix, window, int(win.Offset),
+		files, smartap.Benchmarked(), opts)
 	if err != nil {
 		return err
 	}
@@ -203,4 +205,41 @@ func RunWorker(ctx context.Context, req WorkerRequest, beat func(records int64))
 		p.Metrics = reg.Snapshot()
 	}
 	return WritePartial(req.PartialPath, p)
+}
+
+// open opens the record range w of a bin trace, metered. The source
+// implements workload.Sizer with exactly w.Limit records.
+func (m *meter) open(path string, w Window) (workload.RequestSource, io.Closer, error) {
+	src, closer, err := trace.OpenWorkloadBinWindow(path, w.Offset, w.Limit)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m.wrap(src), closer, nil
+}
+
+// traceCensus streams every record of a bin trace through a census and
+// returns the first-appearance file population: the order every worker
+// and the single-process reference hand to backend construction, so the
+// fleet's sequential warm-pool draws match everywhere. wrap, when
+// non-nil, wraps the census source (workers meter it).
+func traceCensus(path string, wrap func(workload.RequestSource) workload.RequestSource) ([]*workload.FileMeta, error) {
+	census := workload.NewCensus()
+	src, closer, err := trace.OpenWorkloadBinWindow(path, 0, -1)
+	if err != nil {
+		return nil, err
+	}
+	defer closer.Close()
+	counted := census.Wrap(src)
+	if wrap != nil {
+		counted = wrap(counted)
+	}
+	for {
+		if _, _, ok := counted.Next(); !ok {
+			break
+		}
+	}
+	if err := counted.Err(); err != nil {
+		return nil, fmt.Errorf("distrib: census pass: %w", err)
+	}
+	return census.Files(), nil
 }

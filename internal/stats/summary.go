@@ -210,16 +210,6 @@ func (s *Sample) CDFAt(v float64) float64 {
 	return float64(i) / float64(len(s.xs))
 }
 
-// FractionBelow returns the fraction of observations strictly below v.
-func (s *Sample) FractionBelow(v float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	i := sort.SearchFloat64s(s.xs, v)
-	return float64(i) / float64(len(s.xs))
-}
-
 // CDFPoint is one point of an empirical CDF curve: fraction P of
 // observations are <= V.
 type CDFPoint struct {

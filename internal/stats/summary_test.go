@@ -190,14 +190,6 @@ func TestSampleCDFAt(t *testing.T) {
 	}
 }
 
-func TestSampleFractionBelow(t *testing.T) {
-	s := &Sample{}
-	s.AddAll([]float64{100, 125, 125, 300})
-	if got := s.FractionBelow(125); got != 0.25 {
-		t.Fatalf("FractionBelow(125) = %g, want 0.25", got)
-	}
-}
-
 func TestSampleAddAfterQuantile(t *testing.T) {
 	s := &Sample{}
 	s.AddAll([]float64{1, 3})

@@ -227,12 +227,6 @@ func (m WriteModel) IOWait(d Device, rate float64) float64 {
 	return math.Min(w, 1)
 }
 
-// WriteDelay returns the time to persist size bytes at the pipeline's
-// sustainable throughput, ignoring any network constraint.
-func (m WriteModel) WriteDelay(d Device, size int64) float64 {
-	return float64(size) / m.Throughput(d)
-}
-
 // RecommendedUpgrade suggests the configuration change ODR's Bottleneck 4
 // logic is built around (§5.2): NTFS should be reformatted to EXT4, and
 // USB flash drives should be replaced by a USB hard disk when small-write

@@ -141,14 +141,6 @@ func TestMaxSpeedUnconstrainedNetwork(t *testing.T) {
 	}
 }
 
-func TestWriteDelay(t *testing.T) {
-	d := Device{SATAHDD, EXT4}
-	thr := fastAP.Throughput(d)
-	if got := fastAP.WriteDelay(d, int64(thr*10)); math.Abs(got-10) > 1e-6 {
-		t.Errorf("WriteDelay = %g, want 10", got)
-	}
-}
-
 func TestValidatePanics(t *testing.T) {
 	cases := []struct {
 		m WriteModel

@@ -167,18 +167,3 @@ func (m *Model) AttemptAs(g *dist.RNG, f *workload.FileMeta, class ClientClass) 
 	a.Rate = rate
 	return a
 }
-
-// BandwidthMultiplier estimates the P2P "bandwidth multiplier" effect of
-// §4.2 for a swarm: by seeding Si bytes/second of cloud bandwidth into a
-// swarm with the given leecher population, the aggregate distribution
-// bandwidth Di is amplified as peers exchange data among themselves. The
-// returned value is Di/Si (≥ 1). It grows with swarm size and saturates —
-// a direct consequence of tit-for-tat reciprocation.
-func BandwidthMultiplier(leechers int) float64 {
-	if leechers <= 0 {
-		return 1
-	}
-	// Each additional leecher contributes upload capacity; reciprocation
-	// efficiency decays logarithmically with swarm size.
-	return 1 + math.Log1p(float64(leechers))
-}

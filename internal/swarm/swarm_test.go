@@ -163,23 +163,6 @@ func median(xs []float64) float64 {
 	return cp[len(cp)/2]
 }
 
-func TestBandwidthMultiplier(t *testing.T) {
-	if BandwidthMultiplier(0) != 1 || BandwidthMultiplier(-5) != 1 {
-		t.Fatal("empty swarm must have multiplier 1")
-	}
-	prev := 1.0
-	for _, n := range []int{1, 10, 100, 1000} {
-		m := BandwidthMultiplier(n)
-		if m <= prev {
-			t.Fatalf("multiplier not increasing at %d leechers", n)
-		}
-		prev = m
-	}
-	if BandwidthMultiplier(100) < 2 {
-		t.Fatal("large swarms should amplify bandwidth substantially")
-	}
-}
-
 func TestZeroConfigUsesDefaults(t *testing.T) {
 	m := NewModel(Config{})
 	if m.cfg != DefaultConfig() {

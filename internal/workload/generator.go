@@ -210,8 +210,7 @@ type StreamTrace struct {
 	// Span is the duration the trace covers.
 	Span time.Duration
 
-	cfg   Config // normalized: Span and NumUsers resolved
-	chunk int
+	cfg Config // normalized: Span and NumUsers resolved
 	// cumReqs[i] is the total weekly requests of Files[0..i]; it maps a
 	// generation index to its file by binary search.
 	cumReqs []uint32
@@ -225,9 +224,6 @@ type StreamTrace struct {
 
 // TotalRequests returns the number of requests the stream yields.
 func (t *StreamTrace) TotalRequests() int { return len(t.perm) }
-
-// ChunkSize returns the target chunk size the stream was built with.
-func (t *StreamTrace) ChunkSize() int { return t.chunk }
 
 // GenerateStream synthesizes the trace's resident metadata and prepares a
 // bounded-memory request stream. chunkSize is the target number of
@@ -263,7 +259,6 @@ func GenerateStream(cfg Config, chunkSize int) (*StreamTrace, error) {
 		Users: generateUsers(cfg, root.Split("users")),
 		Span:  cfg.Span,
 		cfg:   cfg,
-		chunk: chunkSize,
 	}
 
 	st.cumReqs = make([]uint32, len(st.Files))
